@@ -49,9 +49,12 @@ def normalized_residuals(p: PredictionSet) -> np.ndarray:
     exclusion count is carried on the resulting curve.
     """
     validate_prediction_set(p)
-    z = np.full(p.n, np.inf, dtype=np.float64)
-    ok = p.sigma > 0.0
-    np.divide(p.y_true - p.mu, p.sigma, out=z, where=ok)
+    return _residual_ratio(p.y_true - p.mu, p.sigma)
+
+
+def _residual_ratio(residual: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    z = np.full(residual.shape[0], np.inf, dtype=np.float64)
+    np.divide(residual, sigma, out=z, where=sigma > 0.0)
     return z
 
 
@@ -81,24 +84,27 @@ def calibration_curve(p: PredictionSet, grid_size: int = DEFAULT_GRID_SIZE) -> C
     the trapezoidal integral of |observed - expected| including the implicit
     (0,0) and (1,1) endpoints.
     """
-    z = normalized_residuals(p)
+    expected, observed, n_used = _curve_from_residuals(normalized_residuals(p), grid_size)
+    return CalibrationCurve(
+        expected=expected,
+        observed=observed,
+        miscalibration_area=_area_between(expected, observed),
+        n_used=n_used,
+        n_excluded_zero_sigma=p.n - n_used,
+    )
+
+
+def _curve_from_residuals(z: np.ndarray, grid_size: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(expected, observed, n_used) over the finite entries of ``z``."""
     finite = np.isfinite(z)
     n_used = int(finite.sum())
-    n_excluded = p.n - n_used
     if n_used == 0:
         raise AllSigmaZeroError("every sigma is zero; no calibration curve exists")
     if n_used < 2:
         raise DomainError(f"need >= 2 points with sigma > 0, got {n_used}")
     phi_sorted = np.sort(std_normal_cdf(z[finite]))
     expected = _expected_grid(grid_size)
-    observed = _observed_proportions(phi_sorted, expected)
-    return CalibrationCurve(
-        expected=expected,
-        observed=observed,
-        miscalibration_area=_area_between(expected, observed),
-        n_used=n_used,
-        n_excluded_zero_sigma=n_excluded,
-    )
+    return expected, _observed_proportions(phi_sorted, expected), n_used
 
 
 def miscalibration_area(c: CalibrationCurve) -> float:

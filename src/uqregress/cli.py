@@ -63,6 +63,13 @@ def _widths(dim: int, hidden: str, out_width: int) -> tuple[int, ...]:
     return (dim, *hid, out_width)
 
 
+def _fractions(text: str) -> list[float]:
+    try:
+        return [float(t) for t in text.split(",") if t.strip()]
+    except ValueError as exc:
+        raise DomainError(f"--fractions must be comma-separated numbers, got {text!r}") from exc
+
+
 def _read_train_dataset(path):
     f = io.read_dataset_csv(path)
     if f.dataset is None:
@@ -192,8 +199,8 @@ def cmd_evaluate(args, written: list[str]) -> list[str]:
 
 
 def cmd_adversarial(args, written: list[str]) -> list[str]:
+    fractions = _fractions(args.fractions)
     p = _require_predictions(args.pred)
-    fractions = [float(t) for t in args.fractions.split(",") if t.strip()]
     adv = adversarial_group_calibration(
         p, fractions, trials=args.trials, subgroups=args.subgroups,
         seed=_seed(args), grid_size=args.grid_size,

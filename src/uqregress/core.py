@@ -101,14 +101,14 @@ class LabeledDataset:
     groups: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ids", tuple(str(i) for i in self.ids))
+        object.__setattr__(self, "ids", tuple(map(str, self.ids)))
         feats = np.asarray(self.features, dtype=np.float64)
         if feats.ndim != 2:
             feats = np.atleast_2d(feats)
         object.__setattr__(self, "features", _freeze(feats))
         object.__setattr__(self, "targets", _freeze(np.asarray(self.targets, dtype=np.float64).ravel()))
         if self.groups is not None:
-            object.__setattr__(self, "groups", tuple(str(g) for g in self.groups))
+            object.__setattr__(self, "groups", tuple(map(str, self.groups)))
         n = len(self.ids)
         if n < 1:
             raise DomainError("LabeledDataset needs at least one row")
@@ -167,11 +167,11 @@ class PredictionSet:
     groups: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ids", tuple(str(i) for i in self.ids))
+        object.__setattr__(self, "ids", tuple(map(str, self.ids)))
         for name in ("y_true", "mu", "sigma"):
             object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), dtype=np.float64).ravel()))
         if self.groups is not None:
-            object.__setattr__(self, "groups", tuple(str(g) for g in self.groups))
+            object.__setattr__(self, "groups", tuple(map(str, self.groups)))
 
     @property
     def n(self) -> int:
@@ -182,12 +182,13 @@ class PredictionSet:
 
     def subset(self, indices) -> "PredictionSet":
         idx = np.asarray(indices, dtype=np.intp)
+        rows = idx.tolist()
         return PredictionSet(
-            ids=tuple(self.ids[i] for i in idx),
+            ids=tuple(map(self.ids.__getitem__, rows)),
             y_true=self.y_true[idx],
             mu=self.mu[idx],
             sigma=self.sigma[idx],
-            groups=None if self.groups is None else tuple(self.groups[i] for i in idx),
+            groups=None if self.groups is None else tuple(map(self.groups.__getitem__, rows)),
         )
 
 

@@ -5,26 +5,44 @@ a write/read cycle reproduces every value bit-exactly and re-running a
 command yields byte-identical files. Every writer also drops a sidecar
 ``<file>.manifest.json`` recording the command and resolved configuration
 that produced the file.
+
+CSV tables are written and read a column at a time. Text cells (ids, group
+tags) are quoted exactly as ``csv.writer`` quotes them. A file that is not
+plain (printable ASCII lines, no quotes, no blank lines), or that the column
+parse rejects, is read again line by line with the ``csv`` module, and that
+scan alone decides what the file holds or which error it raises. Every file
+is written to a sibling temp file that then replaces the target, so a failed
+write leaves the target as it was.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+import re
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from io import BytesIO, StringIO, TextIOWrapper
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .core import LabeledDataset, PredictionSet, RngSeed
-from .errors import FileParseError, ReportSchemaError
+from .errors import FileParseError, LengthMismatchError, ReportSchemaError
 from .neural import MlpConfig, MlpModel
 
 MODEL_FORMAT = "uqregress-model-v1"
 ENSEMBLE_FORMAT = "uqregress-ensemble-v1"
 MANIFEST_FORMAT = "uqregress-manifest-v1"
+
+CHUNK_ROWS = 65536  # CSV rows formatted per write
+# characters that can make csv.writer quote a field; such fields go through csv itself
+_QUOTE_TRIGGER = re.compile('[,"\r\n\x00]')
+# the bytes a plain CSV file may hold: printable ASCII except '"', and '\n'
+_PLAIN_BYTES = bytes(c for c in range(0x20, 0x7F) if c != 0x22) + b"\n"
 
 
 def fmt(x: float) -> str:
@@ -39,10 +57,30 @@ def _parse_float(token: str, path: Path, line: int, col: str) -> float:
         raise FileParseError(f"{path}:{line}: column {col!r}: {token!r} is not a number") from exc
 
 
-def write_json(path: Path, obj: dict) -> None:
+def _floats(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64)
+
+
+@contextmanager
+def _replacing(path):
+    """A text file on a sibling temp file that replaces ``path`` on success.
+
+    On any exception the temp file is removed and ``path`` is left untouched.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as f:
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path: Path, obj: dict) -> None:
+    with _replacing(path) as f:
         json.dump(obj, f, indent=2, allow_nan=False)
         f.write("\n")
 
@@ -53,6 +91,122 @@ def _read_json(path: Path) -> dict:
             return json.load(f)
     except json.JSONDecodeError as exc:
         raise FileParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+
+
+# --- CSV tables -------------------------------------------------------------
+
+def _csv_field(text: str) -> str:
+    """One field exactly as ``csv.writer`` writes it in a row of two or more."""
+    buf = StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
+
+
+def _text_cells(values) -> list[str]:
+    cells = list(map(str, values))
+    if _QUOTE_TRIGGER.search("".join(cells)):
+        cells = [_csv_field(c) if _QUOTE_TRIGGER.search(c) else c for c in cells]
+    return cells
+
+
+def write_columns_csv(path, header, columns) -> None:
+    """Write ``header`` and one row per index of the aligned ``columns``.
+
+    An ndarray column holds floats, written with :func:`fmt`; any other
+    sequence holds text. Rows are formatted ``CHUNK_ROWS`` at a time, and the
+    bytes equal those ``csv.writer(f, lineterminator="\\n")`` writes for the
+    same rows.
+    """
+    n = len(columns[0]) if columns else 0
+    if any(len(c) != n for c in columns):
+        raise LengthMismatchError(f"column lengths {[len(c) for c in columns]} differ")
+    with _replacing(path) as f:
+        f.write(",".join(_text_cells(header)) + "\n")
+        for lo in range(0, n, CHUNK_ROWS):
+            cells = [
+                list(map(repr, c[lo:lo + CHUNK_ROWS].tolist())) if isinstance(c, np.ndarray)
+                else _text_cells(c[lo:lo + CHUNK_ROWS])
+                for c in columns
+            ]
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _scan_rows(path: Path, layout) -> tuple[list[str], list]:
+    """The line-by-line read: ``csv.reader`` rows and one ``float()`` per cell."""
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    if not rows:
+        raise FileParseError(f"{path}:1: empty file (expected a header row)")
+    header = rows[0]
+    text_cols = layout(path, header)
+    columns = [[] for _ in header]
+    for ln, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise FileParseError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
+        for j, cell in enumerate(row):
+            columns[j].append(cell if j in text_cols else _parse_float(cell, path, ln, header[j]))
+    return header, [c if j in text_cols else _floats(c) for j, c in enumerate(columns)]
+
+
+def _column_parse(path: Path, data: bytes, layout) -> tuple[list[str], list] | None:
+    """Header and columns of a plain file, or None if it needs the line scan."""
+    if not data or data[0] == 0x0A or b"\n\n" in data or data.translate(None, _PLAIN_BYTES):
+        return None
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(raw == 0x0A)
+    if int(np.diff(ends, prepend=-1).max()) > csv.field_size_limit():
+        return None  # csv.reader would reject a field this long
+    header = data[:ends[0]].decode("ascii").split(",")
+    text_cols = layout(path, header)
+    # every line must hold exactly as many commas as the header
+    k = len(header) - 1
+    commas = np.flatnonzero(raw == 0x2C)
+    if commas.size != k * ends.size:
+        return None
+    commas = commas.reshape(ends.size, k)
+    if not ((commas[:, -1] < ends).all() and (commas[1:, 0] > ends[:-1]).all()):
+        return None
+    n = ends.size - 1
+    if n == 0:
+        return None  # header only: the scan is as cheap
+    float_cols = [j for j in range(len(header)) if j not in text_cols]
+    try:
+        values = np.loadtxt(TextIOWrapper(BytesIO(data), encoding="ascii"), dtype=np.float64,
+                            delimiter=",", comments=None, skiprows=1, usecols=float_cols, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (n, len(float_cols)):
+        return None
+
+    text = data.decode("ascii")
+    # field j of row i spans edges[i, j] up to the byte before edges[i, j + 1]
+    edges = np.column_stack((ends[:-1] + 1, commas[1:] + 1, ends[1:] + 1))
+    columns = []
+    for j in range(len(header)):
+        if j in text_cols:
+            columns.append([text[a:b] for a, b in zip(edges[:, j].tolist(),
+                                                      (edges[:, j + 1] - 1).tolist())])
+        else:
+            columns.append(values[:, float_cols.index(j)])
+    return header, columns
+
+
+def _read_columns_csv(path, layout) -> tuple[list[str], list]:
+    """Read a CSV table as (header, columns).
+
+    ``layout(path, header)`` checks the header, raising FileParseError, and
+    returns the indices of the text columns; every other column is parsed as
+    float64. Text columns come back as lists of str, float columns as arrays.
+    Blank lines are skipped, and the file's values and errors are exactly
+    those of a ``csv.reader`` scan with ``float()`` on every float cell.
+    """
+    path = Path(path)
+    parsed = _column_parse(path, path.read_bytes(), layout)
+    return parsed if parsed is not None else _scan_rows(path, layout)
 
 
 # --- dataset CSV ------------------------------------------------------------
@@ -76,32 +230,20 @@ def write_dataset_csv(
     true_sigma=None,
 ) -> None:
     """Write ``id,x0..x{d-1},y[,group][,true_sigma]`` rows."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    ids = tuple(ids)
     header = ["id"] + [f"x{j}" for j in range(dim)] + ["y"]
+    columns = [ids, *_floats(features).T, _floats(targets)] if ids else []
     if groups is not None:
         header.append("group")
+        columns += [tuple(groups)] if ids else []
     if true_sigma is not None:
         header.append("true_sigma")
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        for i, rid in enumerate(ids):
-            row = [rid] + [fmt(v) for v in features[i]] + [fmt(targets[i])]
-            if groups is not None:
-                row.append(groups[i])
-            if true_sigma is not None:
-                row.append(fmt(true_sigma[i]))
-            w.writerow(row)
+        columns += [_floats(true_sigma)] if ids else []
+    write_columns_csv(path, header, columns)
 
 
-def read_dataset_csv(path) -> DatasetFile:
-    path = Path(path)
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows:
-        raise FileParseError(f"{path}:1: empty file (expected a header row)")
-    header = rows[0]
+def _dataset_layout(path: Path, header: list[str]) -> tuple[int, bool, bool]:
+    """(dim, has_group, has_sigma) of a dataset header."""
     if not header or header[0] != "id":
         raise FileParseError(f"{path}:1: first column must be 'id', got {header[:1]}")
     tail = list(header[1:])
@@ -116,83 +258,56 @@ def read_dataset_csv(path) -> DatasetFile:
     xcols = tail[:-1]
     if xcols != [f"x{j}" for j in range(len(xcols))] or not xcols:
         raise FileParseError(f"{path}:1: expected feature columns x0..x{{d-1}}, got {xcols}")
-    dim = len(xcols)
+    return len(xcols), has_group, has_sigma
 
-    ids, feats, ys, groups, sigmas = [], [], [], [], []
-    for ln, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise FileParseError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
-        ids.append(row[0])
-        feats.append([_parse_float(row[1 + j], path, ln, f"x{j}") for j in range(dim)])
-        ys.append(_parse_float(row[1 + dim], path, ln, "y"))
-        pos = 2 + dim
-        if has_group:
-            groups.append(row[pos])
-            pos += 1
-        if has_sigma:
-            sigmas.append(_parse_float(row[pos], path, ln, "true_sigma"))
-    if not ids:
+
+def _dataset_text_cols(path: Path, header: list[str]) -> set[int]:
+    dim, has_group, _ = _dataset_layout(path, header)
+    return {0, dim + 2} if has_group else {0}
+
+
+def read_dataset_csv(path) -> DatasetFile:
+    header, columns = _read_columns_csv(path, _dataset_text_cols)
+    dim, has_group, has_sigma = _dataset_layout(path, header)
+    if not columns[0]:
         return DatasetFile(dataset=None, true_sigma=None, dim=dim)
     ds = LabeledDataset(
-        ids=tuple(ids),
-        features=np.asarray(feats),
-        targets=np.asarray(ys),
-        groups=tuple(groups) if has_group else None,
+        ids=tuple(columns[0]),
+        features=np.column_stack(columns[1:dim + 1]),
+        targets=columns[dim + 1],
+        groups=tuple(columns[dim + 2]) if has_group else None,
     )
-    return DatasetFile(dataset=ds, true_sigma=np.asarray(sigmas) if has_sigma else None, dim=dim)
+    return DatasetFile(dataset=ds, true_sigma=columns[-1] if has_sigma else None, dim=dim)
 
 
 # --- prediction CSV ---------------------------------------------------------
 
 def write_predictions_csv(path, p: PredictionSet | None) -> None:
     """Write ``id,y_true,y_pred,sigma[,group]``; None writes a header only."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    has_group = p is not None and p.groups is not None
-    header = ["id", "y_true", "y_pred", "sigma"] + (["group"] if has_group else [])
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        if p is None:
-            return
-        for i in range(p.n):
-            row = [p.ids[i], fmt(p.y_true[i]), fmt(p.mu[i]), fmt(p.sigma[i])]
-            if has_group:
-                row.append(p.groups[i])
-            w.writerow(row)
+    header = ["id", "y_true", "y_pred", "sigma"]
+    columns = [] if p is None else [p.ids, p.y_true, p.mu, p.sigma]
+    if p is not None and p.groups is not None:
+        header.append("group")
+        columns.append(p.groups)
+    write_columns_csv(path, header, columns)
 
 
-def read_predictions_csv(path) -> PredictionSet | None:
-    path = Path(path)
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows:
-        raise FileParseError(f"{path}:1: empty file (expected a header row)")
-    header = rows[0]
+def _prediction_text_cols(path: Path, header: list[str]) -> set[int]:
     if header[:4] != ["id", "y_true", "y_pred", "sigma"]:
         raise FileParseError(f"{path}:1: expected header id,y_true,y_pred,sigma[,group], got {header}")
     has_group = len(header) == 5 and header[4] == "group"
     if len(header) > 4 and not has_group:
         raise FileParseError(f"{path}:1: unexpected trailing columns {header[4:]}")
-    ids, y, mu, sigma, groups = [], [], [], [], []
-    for ln, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise FileParseError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
-        ids.append(row[0])
-        y.append(_parse_float(row[1], path, ln, "y_true"))
-        mu.append(_parse_float(row[2], path, ln, "y_pred"))
-        sigma.append(_parse_float(row[3], path, ln, "sigma"))
-        if has_group:
-            groups.append(row[4])
-    if not ids:
+    return {0, 4} if has_group else {0}
+
+
+def read_predictions_csv(path) -> PredictionSet | None:
+    header, columns = _read_columns_csv(path, _prediction_text_cols)
+    if not columns[0]:
         return None
     return PredictionSet(
-        ids=tuple(ids), y_true=np.asarray(y), mu=np.asarray(mu), sigma=np.asarray(sigma),
-        groups=tuple(groups) if has_group else None,
+        ids=tuple(columns[0]), y_true=columns[1], mu=columns[2], sigma=columns[3],
+        groups=tuple(columns[4]) if len(header) == 5 else None,
     )
 
 
@@ -200,35 +315,21 @@ def read_predictions_csv(path) -> PredictionSet | None:
 
 def write_curve_csv(path, curve) -> None:
     """``expected,observed`` rows of a calibration curve."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["expected", "observed"])
-        for e, o in zip(curve.expected, curve.observed):
-            w.writerow([fmt(e), fmt(o)])
+    write_columns_csv(path, ["expected", "observed"],
+                      [_floats(curve.expected), _floats(curve.observed)])
 
 
 def write_adversarial_csv(path, adv) -> None:
     """``fraction,mean_worst_area,std_error`` rows of an adversarial sweep."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["fraction", "mean_worst_area", "std_error"])
-        for fr, mw, se in zip(adv.group_fractions, adv.mean_worst_area, adv.std_error):
-            w.writerow([fmt(fr), fmt(mw), fmt(se)])
+    write_columns_csv(path, ["fraction", "mean_worst_area", "std_error"],
+                      [_floats(adv.group_fractions), _floats(adv.mean_worst_area),
+                       _floats(adv.std_error)])
 
 
 def write_violin_csv(path, summary) -> None:
     """``value,density`` rows of a distribution summary."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["value", "density"])
-        for v, d in zip(summary.eval_grid, summary.densities):
-            w.writerow([fmt(v), fmt(d)])
+    write_columns_csv(path, ["value", "density"],
+                      [_floats(summary.eval_grid), _floats(summary.densities)])
 
 
 # --- model checkpoints ------------------------------------------------------

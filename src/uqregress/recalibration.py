@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import DEFAULT_GRID_SIZE, calibration_curve
+from .calibration import (
+    DEFAULT_GRID_SIZE,
+    _area_between,
+    _curve_from_residuals,
+    _residual_ratio,
+    calibration_curve,
+)
 from .core import PredictionSet, validate_prediction_set
 from .errors import AllSigmaZeroError, DomainError, NonPositiveScalarError
 from .numerics import BrentResult, brent_minimize
@@ -29,11 +35,15 @@ class RecalibrationResult:
     grid_size: int
 
 
-def apply_scalar(p: PredictionSet, s: float) -> PredictionSet:
-    """Multiply every sigma by ``s``; mu and y_true are untouched."""
+def _check_scalar(s: float) -> float:
     if not np.isfinite(s) or s <= 0.0:
         raise NonPositiveScalarError(f"scalar must be finite and > 0, got {s}")
-    return p.with_sigma(p.sigma * float(s))
+    return float(s)
+
+
+def apply_scalar(p: PredictionSet, s: float) -> PredictionSet:
+    """Multiply every sigma by ``s``; mu and y_true are untouched."""
+    return p.with_sigma(p.sigma * _check_scalar(s))
 
 
 def fit_scalar(
@@ -46,6 +56,13 @@ def fit_scalar(
 ) -> RecalibrationResult:
     """Fit the sigma multiplier that minimizes miscalibration area.
 
+    ``p`` is validated once. Each trial area is then computed from the arrays
+    with the arithmetic of ``calibration_curve(apply_scalar(p, s), grid_size)``
+    (sigma * s, masked divide, Φ, sort, searchsorted, trapezoid), so it equals
+    that curve's area bit for bit and raises the same errors: sigma == 0 points
+    are excluded, and a scale that leaves fewer than 2 usable points raises
+    DomainError.
+
     The returned scalar is never worse (in area, up to ``tol``) than the best
     pre-scan point; with the default symmetric bracket the pre-scan includes
     s = 1 exactly, so the fit can only improve on the uncalibrated area.
@@ -57,9 +74,14 @@ def fit_scalar(
         raise DomainError(f"invalid bracket [{bracket_lo}, {bracket_hi}]")
     if not np.any(p.sigma > 0.0):
         raise AllSigmaZeroError("every sigma is zero; nothing to recalibrate")
+    residual = p.y_true - p.mu
 
     def area_at(t: float) -> float:
-        return calibration_curve(apply_scalar(p, float(np.exp(t))), grid_size).miscalibration_area
+        sigma = p.sigma * _check_scalar(float(np.exp(t)))
+        if not np.isfinite(sigma).all():  # overflowed: raise what validation raises
+            validate_prediction_set(p.with_sigma(sigma))
+        expected, observed, _ = _curve_from_residuals(_residual_ratio(residual, sigma), grid_size)
+        return _area_between(expected, observed)
 
     t_lo, t_hi = float(np.log(bracket_lo)), float(np.log(bracket_hi))
     scan_t = np.linspace(t_lo, t_hi, PRESCAN_POINTS)

@@ -148,6 +148,15 @@ class TestAdversarial:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_malformed_fractions_is_one_error_line(self, workspace, tmp_path, capsys):
+        out = tmp_path / "adv.csv"
+        assert run("adversarial", "--pred", workspace["preds"]["ensemble"], "--out", out,
+                   "--fractions", "0.5,abc") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("uqregress: error:")
+        assert "--fractions" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRecalibrate:
     def test_scalar_recovers_known_multiplier(self, tmp_path):

@@ -4,11 +4,31 @@ import numpy as np
 import pytest
 
 from uqregress.calibration import calibration_curve
-from uqregress.errors import AllSigmaZeroError, NonPositiveScalarError
+from uqregress.errors import AllSigmaZeroError, DomainError, NonPositiveScalarError
 from uqregress.metrics import accuracy, dispersion, sharpness
-from uqregress.recalibration import apply_scalar, fit_scalar
+from uqregress.numerics import brent_minimize
+from uqregress.recalibration import PRESCAN_POINTS, apply_scalar, fit_scalar
 
 from conftest import gaussian_null, make_pset
+
+
+def _curve_per_evaluation_fit(p, grid_size=99):
+    """fit_scalar as it was first written: one full calibration curve of
+    apply_scalar(p, s) per evaluation of the objective."""
+
+    def area_at(t):
+        return calibration_curve(apply_scalar(p, float(np.exp(t))), grid_size).miscalibration_area
+
+    scan_t = np.linspace(np.log(1e-3), np.log(1e3), PRESCAN_POINTS)
+    scan_area = np.array([area_at(t) for t in scan_t])
+    best = int(np.argmin(scan_area))
+    brent = brent_minimize(area_at, scan_t[max(best - 1, 0)],
+                           scan_t[min(best + 1, PRESCAN_POINTS - 1)], tol=1e-6, max_iter=200)
+    if brent.value <= scan_area[best]:
+        t_star, area_after = brent.argmin, brent.value
+    else:
+        t_star, area_after = float(scan_t[best]), float(scan_area[best])
+    return float(np.exp(t_star)), calibration_curve(p, grid_size).miscalibration_area, area_after, brent
 
 
 class TestApplyScalar:
@@ -68,7 +88,26 @@ class TestFitScalar:
         p = gaussian_null(5000, seed=12, sigma_scale=0.3)
         res = fit_scalar(p)
         recomputed = calibration_curve(apply_scalar(p, res.scalar)).miscalibration_area
-        assert recomputed == pytest.approx(res.area_after, abs=1e-12)
+        assert recomputed == res.area_after
+
+    @pytest.mark.parametrize("zero_every", [0, 3])
+    def test_matches_one_curve_per_evaluation(self, zero_every):
+        p = gaussian_null(3000, seed=15, sigma_scale=0.4)
+        if zero_every:  # sigma == 0 points are excluded from every area
+            sigma = p.sigma.copy()
+            sigma[::zero_every] = 0.0
+            p = p.with_sigma(sigma)
+        res = fit_scalar(p)
+        assert (res.scalar, res.area_before, res.area_after, res.brent) == _curve_per_evaluation_fit(p)
+        if zero_every:
+            assert calibration_curve(p).n_excluded_zero_sigma == 1000
+
+    def test_single_positive_sigma_raises(self):
+        sigma = np.zeros(50)
+        sigma[7] = 0.3
+        p = make_pset(np.linspace(-1, 1, 50), np.zeros(50), sigma)
+        with pytest.raises(DomainError, match="need >= 2 points with sigma > 0, got 1"):
+            fit_scalar(p)
 
     def test_scalar_inside_bracket(self):
         p = gaussian_null(2000, seed=13, sigma_scale=0.01)
