@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import time
 from pathlib import Path
@@ -398,12 +397,29 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
     return parser, sub
 
 
-def _load_config_defaults(path: str, command: str, sub: argparse._SubParsersAction) -> None:
-    with open(path) as f:
+def _config_value(action: argparse.Action, value, path: str, key: str):
+    """``value`` as the flag would have parsed it; FileParseError if no flag
+    value could give it."""
+    if isinstance(action, argparse._StoreTrueAction):
+        ok = isinstance(value, bool)
+    elif value is None:
+        ok = action.default is None and not action.required
+    else:
+        parse = action.type or str
         try:
-            raw = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise FileParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+            ok = not isinstance(value, bool) and parse(value) == value
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        ok = ok and (action.choices is None or value in action.choices)
+        value = parse(value) if ok else value
+    if not ok:
+        flag = action.option_strings[0]
+        raise FileParseError(f"{path}: config key {key!r}: {flag} cannot take the value {value!r}")
+    return value
+
+
+def _load_config_defaults(path: str, command: str, sub: argparse._SubParsersAction) -> None:
+    raw = io._read_json(path)
     if isinstance(raw, dict) and raw.get("format") == io.MANIFEST_FORMAT:
         if raw.get("command") != command:
             raise FileParseError(
@@ -413,13 +429,13 @@ def _load_config_defaults(path: str, command: str, sub: argparse._SubParsersActi
     if not isinstance(raw, dict):
         raise FileParseError(f"{path}: config must be a JSON object")
     sp = sub.choices[command]
-    valid = {a.dest for a in sp._actions}
+    actions = {a.dest: a for a in sp._actions if a.dest not in ("help", "config")}
     cfg = {}
     for key, value in raw.items():
         dest = key.replace("-", "_")
-        if dest not in valid:
+        if dest not in actions:
             raise FileParseError(f"{path}: unknown config key {key!r} for command {command!r}")
-        cfg[dest] = value
+        cfg[dest] = _config_value(actions[dest], value, path, key)
     sp.set_defaults(**cfg)
     for action in sp._actions:
         if action.dest in cfg:  # the config satisfies this flag

@@ -22,17 +22,21 @@ from .errors import (
     NonFiniteValueError,
 )
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_S30, _S27, _S31, _S11 = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11)
 
 
 def _splitmix64(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
     # SplitMix64 finalizer: a full-period 64-bit mixer, stable across platforms.
-    # Wraparound is the point; silence numpy's scalar-overflow warning.
+    # uint64 arithmetic wraps mod 2**64, which is the point; silence numpy's
+    # scalar-overflow warning.
     with np.errstate(over="ignore"):
-        x = (x + np.uint64(0x9E3779B97F4A7C15)) & _MASK64
-        x = ((x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _MASK64
-        x = ((x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _MASK64
-        return x ^ (x >> np.uint64(31))
+        x = x + _GOLDEN
+        x = (x ^ (x >> _S30)) * _MIX1
+        x = (x ^ (x >> _S27)) * _MIX2
+        return x ^ (x >> _S31)
 
 
 @dataclass(frozen=True)
@@ -71,13 +75,14 @@ def counter_uniform(seed: RngSeed, *index_arrays) -> np.ndarray:
     ``counter_uniform(seed, i, s, l, j)`` depends only on (seed, i, s, l, j),
     never on evaluation order or array layout, which makes per-(point, sample)
     dropout masks reproducible under any parallel schedule. Index arrays are
-    broadcast against each other.
+    broadcast against each other; the result has their broadcast shape.
     """
-    shaped = np.broadcast_arrays(*[np.asarray(a, dtype=np.uint64) for a in index_arrays])
     x = _splitmix64(np.uint64(seed.seed) ^ _splitmix64(np.uint64(seed.stream_id)))
-    for arr in shaped:
-        x = _splitmix64(x ^ _splitmix64(arr))
-    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    for arr in index_arrays:
+        # hash each index at its own shape; the chain broadcasts as it grows,
+        # so only the steps after the widest index run on the full shape
+        x = _splitmix64(x ^ _splitmix64(np.asarray(arr, dtype=np.uint64)))
+    return (x >> _S11).astype(np.float64) * 2.0**-53
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

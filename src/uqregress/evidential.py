@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DomainError
 from .numerics import digamma, log_gamma
@@ -71,6 +70,8 @@ def head_transform(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 
 def head_transform_derivatives(raw: np.ndarray) -> np.ndarray:
     """d(param)/d(raw output) for each of the 4 head channels, shape (n, 4)."""
+    from scipy.special import expit
+
     raw = np.asarray(raw, dtype=np.float64)
     d = np.empty_like(raw)
     d[:, 0] = 1.0

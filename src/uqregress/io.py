@@ -31,8 +31,9 @@ import numpy as np
 
 from . import __version__
 from .core import LabeledDataset, PredictionSet, RngSeed
-from .errors import FileParseError, LengthMismatchError, ReportSchemaError
+from .errors import FileParseError, LengthMismatchError, ReportSchemaError, UqError
 from .neural import MlpConfig, MlpModel
+from .report import _check_keys
 
 MODEL_FORMAT = "uqregress-model-v1"
 ENSEMBLE_FORMAT = "uqregress-ensemble-v1"
@@ -91,6 +92,8 @@ def _read_json(path: Path) -> dict:
             return json.load(f)
     except json.JSONDecodeError as exc:
         raise FileParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileParseError(f"{path}: byte {exc.start} is not UTF-8 text") from exc
 
 
 # --- CSV tables -------------------------------------------------------------
@@ -346,21 +349,64 @@ def _model_dict(m: MlpModel) -> dict:
     }
 
 
-def _model_from_dict(d: dict, path: Path) -> MlpModel:
-    if d.get("format") != MODEL_FORMAT:
-        raise ReportSchemaError(f"{path}: unsupported model format {d.get('format')!r}")
-    cfg = MlpConfig(
-        layer_widths=tuple(d["layer_widths"]),
-        activation=d["activation"],
-        dropout_rate=float(d["dropout_rate"]),
-        seed=RngSeed(int(d["seed"][0]), int(d["seed"][1])),
-    )
-    weights = [np.asarray(w, dtype=np.float64) for w in d["weights"]]
-    biases = [np.asarray(b, dtype=np.float64) for b in d["biases"]]
-    expect = list(zip(cfg.layer_widths[:-1], cfg.layer_widths[1:]))
-    got = [w.shape for w in weights]
-    if got != expect:
-        raise FileParseError(f"{path}: weight shapes {got} do not match widths {cfg.layer_widths}")
+# closed checkpoint schemas: every key required, no other key allowed
+_MODEL_FIELDS = {"format": str, "layer_widths": list, "activation": str,
+                 "dropout_rate": (int, float), "seed": list, "weights": list, "biases": list}
+_ENSEMBLE_FIELDS = {"format": str, "k": int, "member_training": str, "members": list}
+
+
+def _check_fields(d, fields: dict, fmt_tag: str, where: str) -> None:
+    """``d`` must be a JSON object of format ``fmt_tag`` with exactly ``fields``."""
+    if not isinstance(d, dict):
+        raise ReportSchemaError(f"{where} must be a JSON object, got {type(d).__name__}")
+    if d.get("format") != fmt_tag:
+        raise ReportSchemaError(f"{where}: unsupported model format {d.get('format')!r}")
+    _check_keys(d, tuple(fields), where)
+    for key, kind in fields.items():
+        if isinstance(d[key], bool) or not isinstance(d[key], kind):
+            raise ReportSchemaError(f"{where}: key {key!r} has the wrong type ({type(d[key]).__name__})")
+
+
+def _is_ints(values: list) -> bool:
+    return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+
+
+def _float_arrays(values: list, shapes: list, where: str, key: str) -> list[np.ndarray]:
+    """The arrays listed under ``key``: finite numbers, one array per shape in ``shapes``."""
+    out = []
+    for v in values:
+        try:
+            a = np.asarray(v)
+        except ValueError:  # ragged nesting
+            a = np.empty(0, dtype=object)
+        if a.dtype.kind not in "iuf" or not np.all(np.isfinite(a)):
+            raise ReportSchemaError(f"{where}: key {key!r} must hold finite numeric arrays")
+        out.append(a.astype(np.float64))
+    got = [a.shape for a in out]
+    if got != shapes:
+        raise FileParseError(f"{where}: {key} shapes {got} do not match the widths, which need {shapes}")
+    return out
+
+
+def _model_from_dict(d, where: str) -> MlpModel:
+    _check_fields(d, _MODEL_FIELDS, MODEL_FORMAT, where)
+    widths, seed = d["layer_widths"], d["seed"]
+    if not _is_ints(widths):
+        raise ReportSchemaError(f"{where}: key 'layer_widths' must list integers, got {widths!r}")
+    if len(seed) != 2 or not _is_ints(seed) or not all(0 <= v < 2**64 for v in seed):
+        raise ReportSchemaError(f"{where}: key 'seed' must hold two unsigned 64-bit integers, got {seed!r}")
+    try:
+        cfg = MlpConfig(
+            layer_widths=tuple(widths),
+            activation=d["activation"],
+            dropout_rate=float(d["dropout_rate"]),
+            seed=RngSeed(*seed),
+        )
+    except (UqError, OverflowError) as exc:
+        raise ReportSchemaError(f"{where}: {exc}") from exc
+    w = cfg.layer_widths
+    weights = _float_arrays(d["weights"], list(zip(w[:-1], w[1:])), where, "weights")
+    biases = _float_arrays(d["biases"], [(n,) for n in w[1:]], where, "biases")
     return MlpModel(weights=weights, biases=biases, config=cfg)
 
 
@@ -381,9 +427,12 @@ def load_checkpoint(path) -> MlpModel | list[MlpModel]:
     """Load a single model or an ensemble (returned as a list of models)."""
     path = Path(path)
     d = _read_json(path)
-    if d.get("format") == ENSEMBLE_FORMAT:
-        return [_model_from_dict(md, path) for md in d["members"]]
-    return _model_from_dict(d, path)
+    if not (isinstance(d, dict) and d.get("format") == ENSEMBLE_FORMAT):
+        return _model_from_dict(d, str(path))
+    _check_fields(d, _ENSEMBLE_FIELDS, ENSEMBLE_FORMAT, str(path))
+    if d["k"] != len(d["members"]):
+        raise ReportSchemaError(f"{path}: key 'k' is {d['k']} but 'members' holds {len(d['members'])}")
+    return [_model_from_dict(md, f"{path} members[{i}]") for i, md in enumerate(d["members"])]
 
 
 # --- run manifests ----------------------------------------------------------

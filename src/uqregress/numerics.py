@@ -2,9 +2,11 @@
 
 The probability functions accept scalars or numpy arrays and are exact to
 machine precision (they delegate to the battle-tested scipy/C implementations
-behind this module's contract). The KDE is written out here because its
-bandwidth convention — Bessel-corrected sample std times n**(-1/5) — and its
-degenerate-sample behavior are part of the contract.
+behind this module's contract). scipy is imported on first use, inside the
+function that needs it, so importing this module or the CLI does not load it.
+The KDE is written out here because its bandwidth convention — Bessel-corrected
+sample std times n**(-1/5) — and its degenerate-sample behavior are part of
+the contract.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
 
 from .errors import DegenerateSampleError, DomainError, NonFiniteValueError
 
@@ -30,7 +31,9 @@ def std_normal_cdf(x):
     arr, scalar = _as_float_or_array(x)
     if not np.all(np.isfinite(arr) | np.isposinf(arr) | np.isneginf(arr)):
         raise DomainError("std_normal_cdf requires non-NaN input")
-    out = special.ndtr(arr)
+    from scipy.special import ndtr
+
+    out = ndtr(arr)
     return float(out) if scalar else out
 
 
@@ -39,7 +42,9 @@ def std_normal_quantile(p):
     arr, scalar = _as_float_or_array(p)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("std_normal_quantile requires p in the open interval (0, 1)")
-    out = special.ndtri(arr)
+    from scipy.special import ndtri
+
+    out = ndtri(arr)
     return float(out) if scalar else out
 
 
@@ -48,7 +53,9 @@ def log_gamma(x):
     arr, scalar = _as_float_or_array(x)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
         raise DomainError("log_gamma requires x > 0")
-    out = special.gammaln(arr)
+    from scipy.special import gammaln
+
+    out = gammaln(arr)
     return float(out) if scalar else out
 
 
@@ -57,7 +64,9 @@ def digamma(x):
     arr, scalar = _as_float_or_array(x)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
         raise DomainError("digamma requires x > 0")
-    out = special.psi(arr)
+    from scipy.special import psi
+
+    out = psi(arr)
     return float(out) if scalar else out
 
 
@@ -82,7 +91,9 @@ def brent_minimize(f, lo: float, hi: float, tol: float = 1e-6, max_iter: int = 2
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
-    res = optimize.minimize_scalar(
+    from scipy.optimize import minimize_scalar
+
+    res = minimize_scalar(
         f, bounds=(lo, hi), method="bounded", options={"xatol": tol, "maxiter": max_iter}
     )
     x = float(min(max(res.x, lo), hi))

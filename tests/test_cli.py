@@ -280,3 +280,118 @@ class TestConfigAndManifests:
         }))
         assert run("screen", "--config", cfg, "--sigma-max", 0.3) == 0
         assert json.loads(out.read_text())["criteria"]["sigma_max"] == 0.3
+
+
+def _one_error_line(capsys, *needles):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("uqregress: error:")
+    for needle in needles:
+        assert needle in err[0]
+
+
+def _drop(key):
+    return lambda d: d.pop(key)
+
+
+def _set(key, value):
+    return lambda d: d.__setitem__(key, value)
+
+
+def _short_bias(d):
+    d["biases"][0] = d["biases"][0][:-1]
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("method, mutate, key", [
+        ("dropout", _drop("layer_widths"), "layer_widths"),
+        ("dropout", _drop("weights"), "weights"),
+        ("dropout", _set("layer_widths", "2,8,1"), "layer_widths"),
+        ("dropout", _set("layer_widths", [2.0, 8, 1]), "layer_widths"),
+        ("dropout", _set("seed", [4]), "seed"),
+        ("dropout", _set("seed", [4, "0"]), "seed"),
+        ("dropout", _set("seed", [4, -1]), "seed"),
+        ("dropout", _set("seed", [2**64, 0]), "seed"),
+        ("dropout", _set("dropout_rate", True), "dropout_rate"),
+        ("dropout", _set("activation", None), "activation"),
+        ("dropout", _set("extra", 1), "extra"),
+        ("dropout", _short_bias, "biases"),
+        ("dropout", lambda d: d["weights"][0][0].__setitem__(0, "x"), "weights"),
+        ("ensemble", _drop("members"), "members"),
+        ("ensemble", _set("k", 2), "'k'"),
+        ("ensemble", lambda d: d["members"][1].pop("biases"), "members[1]"),
+    ])
+    def test_one_error_line_naming_file_and_key(self, workspace, tmp_path, capsys,
+                                                method, mutate, key):
+        d = json.loads(workspace["models"][method].read_text())
+        mutate(d)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(d))
+        out = tmp_path / "out" / "pred.csv"
+        assert run("predict", "--method", method, "--model", model,
+                   "--test", workspace["data"] / "test.csv", "--out", out) == 1
+        _one_error_line(capsys, str(model), key)
+        assert not (tmp_path / "out").exists() or list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("body, needle", [(b"[1, 2]\n", "JSON object"),
+                                              (b"\xff\xfe{}", "UTF-8")])
+    def test_not_an_object(self, workspace, tmp_path, capsys, body, needle):
+        model = tmp_path / "model.json"
+        model.write_bytes(body)
+        assert run("predict", "--method", "dropout", "--model", model,
+                   "--test", workspace["data"] / "test.csv", "--out", tmp_path / "p.csv") == 1
+        _one_error_line(capsys, str(model), needle)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
+class TestIllTypedConfig:
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "epochs", [1, 2]),
+        ("train", "epochs", 2.5),
+        ("train", "epochs", True),
+        ("train", "learning-rate", "0.1"),
+        ("train", "method", "bogus"),
+        ("train", "hidden", [32, 32]),
+        ("train", "out", None),
+        ("predict", "sqrt-uncertainty", 1),
+        ("predict", "samples", None),
+        ("screen", "sigma_max", {"v": 1}),
+    ])
+    def test_one_error_line_naming_key(self, workspace, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "out.json"
+        flags = {
+            "train": ["--method", "dropout", "--train", workspace["data"] / "train.csv",
+                      "--out", out, *FAST_TRAIN],
+            "predict": ["--method", "evidential", "--model", workspace["models"]["evidential"],
+                        "--test", workspace["data"] / "test.csv", "--out", out],
+            "screen": ["--pred", workspace["preds"]["ensemble"], "--out", out],
+        }[command]
+        assert run(command, "--config", cfg, *flags) == 1
+        _one_error_line(capsys, str(cfg), repr(key))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"sigma-max": 0.1, "pred": "\xff"}')
+        assert run("screen", "--config", cfg) == 1
+        _one_error_line(capsys, str(cfg), "UTF-8")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_values_a_flag_could_give_are_accepted(self, workspace, tmp_path):
+        out = tmp_path / "pred.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "evidential", "rate": None, "seed": 5,
+                                   "sqrt_uncertainty": False, "samples": 1000}))
+        assert run("predict", "--config", cfg, "--model", workspace["models"]["evidential"],
+                   "--test", workspace["data"] / "test.csv", "--out", out) == 0
+        assert out.read_bytes() == workspace["preds"]["evidential"].read_bytes()
+
+    def test_integral_number_for_a_float_flag_parses_as_float(self, workspace, tmp_path):
+        out = tmp_path / "screen.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pred": str(workspace["preds"]["ensemble"]),
+                                   "out": str(out), "sigma-max": 1}))
+        assert run("screen", "--config", cfg) == 0
+        assert io.read_manifest(io.manifest_path(out))["config"]["sigma_max"] == 1.0
+        assert json.loads(out.read_text())["criteria"]["sigma_max"] == 1.0
