@@ -24,7 +24,6 @@ from .core import (
     validate_prediction_set,
 )
 from .datagen import calibrated_prediction_set, generate_synthetic
-from .evidential import EvidentialParams
 from .metrics import (
     AccuracyReport,
     DispersionReport,
@@ -51,10 +50,7 @@ from .screening import ScreenCriteria, ScreenReport, honesty_rate, screen
 from .uq_methods import (
     DropoutSpec,
     EnsembleSpec,
-    evidential_nll,
     evidential_predict,
-    evidential_regularizer,
-    evidential_uncertainties,
     kfold_ensemble_predict,
     mc_dropout_predict,
 )
@@ -67,7 +63,6 @@ __all__ = [
     "DispersionReport",
     "DropoutSpec",
     "EnsembleSpec",
-    "EvidentialParams",
     "IntervalScoreReport",
     "LabeledDataset",
     "MetricsReport",
@@ -89,10 +84,7 @@ __all__ = [
     "dispersion",
     "distribution_summary",
     "evaluate",
-    "evidential_nll",
     "evidential_predict",
-    "evidential_regularizer",
-    "evidential_uncertainties",
     "fit_scalar",
     "forward",
     "generate_synthetic",

@@ -15,9 +15,6 @@ parameter gradients are provided for backpropagation.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -26,30 +23,6 @@ from .numerics import digamma, log_gamma
 NU_FLOOR = 1e-6
 ALPHA_FLOOR = 1.0 + 1e-6
 BETA_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class EvidentialParams:
-    """Per-sample evidence parameters (gamma, nu, alpha, beta)."""
-
-    gamma: float
-    nu: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.gamma, self.nu, self.alpha, self.beta)):
-            raise DomainError("evidential parameters must be finite")
-        if self.nu <= 0.0:
-            raise DomainError(f"nu must be > 0, got {self.nu}")
-        if self.alpha <= 1.0:
-            raise DomainError(f"alpha must be > 1, got {self.alpha}")
-        if self.beta <= 0.0:
-            raise DomainError(f"beta must be > 0, got {self.beta}")
-
-    @property
-    def omega(self) -> float:
-        return 2.0 * self.beta * (1.0 + self.nu)
 
 
 def softplus(x):

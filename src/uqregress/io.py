@@ -31,7 +31,8 @@ import numpy as np
 
 from . import __version__
 from .core import LabeledDataset, PredictionSet, RngSeed
-from .errors import FileParseError, LengthMismatchError, ReportSchemaError, UqError
+from .errors import (FileParseError, LengthMismatchError, NonFiniteValueError, ReportSchemaError,
+                     UqError)
 from .neural import MlpConfig, MlpModel
 from .report import _check_keys
 
@@ -82,7 +83,10 @@ def _replacing(path):
 
 def write_json(path: Path, obj: dict) -> None:
     with _replacing(path) as f:
-        json.dump(obj, f, indent=2, allow_nan=False)
+        try:
+            json.dump(obj, f, indent=2, allow_nan=False)
+        except ValueError as exc:  # NaN or +-inf, which strict JSON cannot hold
+            raise NonFiniteValueError(f"{path}: {exc}") from exc
         f.write("\n")
 
 
@@ -134,10 +138,14 @@ def write_columns_csv(path, header, columns) -> None:
             f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _scan_rows(path: Path, layout) -> tuple[list[str], list]:
+def _scan_rows(path: Path, data: bytes, layout) -> tuple[list[str], list]:
     """The line-by-line read: ``csv.reader`` rows and one ``float()`` per cell."""
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FileParseError(f"{path}:{line}: byte {exc.start} is not UTF-8 text") from exc
+    rows = list(csv.reader(StringIO(text, newline="")))
     if not rows:
         raise FileParseError(f"{path}:1: empty file (expected a header row)")
     header = rows[0]
@@ -208,8 +216,9 @@ def _read_columns_csv(path, layout) -> tuple[list[str], list]:
     those of a ``csv.reader`` scan with ``float()`` on every float cell.
     """
     path = Path(path)
-    parsed = _column_parse(path, path.read_bytes(), layout)
-    return parsed if parsed is not None else _scan_rows(path, layout)
+    data = path.read_bytes()
+    parsed = _column_parse(path, data, layout)
+    return parsed if parsed is not None else _scan_rows(path, data, layout)
 
 
 # --- dataset CSV ------------------------------------------------------------

@@ -16,8 +16,7 @@ import numpy as np
 from . import evidential as ev
 from .core import LabeledDataset, PredictionSet, RngSeed, counter_uniform, split_k_folds
 from .errors import DomainError, FoldTooSmallError, WrongHeadWidthError
-from .evidential import EvidentialParams
-from .neural import _ACTIVATIONS, MlpConfig, MlpModel, TrainConfig, predict, train
+from .neural import MlpConfig, MlpModel, TrainConfig, _forward_cached, predict, train
 
 MEMBER_TRAINING_MODES = ("one_fold_each", "leave_one_fold_out")
 
@@ -129,16 +128,14 @@ def _mc_forward(m: MlpModel, X: np.ndarray, rate: float, seed: RngSeed, sample: 
     """One stochastic pass; each (point, unit) mask comes from a stateless
     counter keyed by (point index, sample index, layer, unit), so results do
     not depend on evaluation order or batching."""
-    act, _ = _ACTIVATIONS[m.config.activation]
     keep = 1.0 - rate
     point_ix = np.arange(X.shape[0], dtype=np.uint64)[:, None]
-    a = X
-    for l in range(m.n_layers - 1):
-        h = act(a @ m.weights[l] + m.biases[l])
-        unit_ix = np.arange(h.shape[1], dtype=np.uint64)[None, :]
+    masks = []
+    for l, width in enumerate(m.config.layer_widths[1:-1]):
+        unit_ix = np.arange(width, dtype=np.uint64)[None, :]
         u = counter_uniform(seed, point_ix, np.uint64(sample), np.uint64(l), unit_ix)
-        a = h * ((u >= rate).astype(np.float64) / keep)
-    return (a @ m.weights[-1] + m.biases[-1])[:, 0]
+        masks.append((u >= rate).astype(np.float64) / keep)
+    return _forward_cached(m, X, masks)[2][:, 0]
 
 
 def mc_dropout_predict(m: MlpModel, test: LabeledDataset, spec: DropoutSpec) -> PredictionSet:
@@ -161,22 +158,6 @@ def mc_dropout_predict(m: MlpModel, test: LabeledDataset, spec: DropoutSpec) -> 
     mu = total / spec.samples
     var = np.maximum(total_sq - spec.samples * mu * mu, 0.0) / (spec.samples - 1)
     return PredictionSet(test.ids, test.targets, mu, np.sqrt(var), test.groups)
-
-
-def evidential_nll(params: EvidentialParams, y: float) -> float:
-    """Negative log-likelihood of one observation under the evidence head."""
-    return float(ev.nll_array(params.gamma, params.nu, params.alpha, params.beta, y))
-
-
-def evidential_regularizer(params: EvidentialParams, y: float) -> float:
-    """Residual-weighted evidence penalty |y - gamma| * (2*nu + alpha)."""
-    return float(ev.regularizer_array(params.gamma, params.nu, params.alpha, y))
-
-
-def evidential_uncertainties(params: EvidentialParams, apply_sqrt: bool = False) -> tuple[float, float]:
-    """(aleatoric, epistemic) = (beta/(alpha-1), beta/(nu*(alpha-1)))."""
-    a, e = ev.uncertainty_channels(params.nu, params.alpha, params.beta, apply_sqrt=apply_sqrt)
-    return float(a), float(e)
 
 
 def evidential_predict(

@@ -3,13 +3,16 @@
 This is the prediction/dataset CSV code as it stood before the column-wise
 codec in ``uqregress.io``. The property tests hold the column codec to it:
 same bytes written, same values read back, and the same accept/reject
-decision and error text on malformed files.
+decision and error text on malformed files. Its one change since then: a
+file that is not UTF-8 raises FileParseError naming the file and line instead
+of ``UnicodeDecodeError``, with the same text as ``uqregress.io``.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +30,17 @@ def _parse_float(token: str, path: Path, line: int, col: str) -> float:
         return float(token)
     except ValueError as exc:
         raise FileParseError(f"{path}:{line}: column {col!r}: {token!r} is not a number") from exc
+
+
+def _rows(path: Path) -> list[list[str]]:
+    """``csv.reader`` rows of the file read as UTF-8 text."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FileParseError(f"{path}:{line}: byte {exc.start} is not UTF-8 text") from exc
+    return list(csv.reader(StringIO(text, newline="")))
 
 
 # --- dataset CSV ------------------------------------------------------------
@@ -71,8 +85,7 @@ def write_dataset_csv(
 
 def read_dataset_csv(path) -> DatasetFile:
     path = Path(path)
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
+    rows = _rows(path)
     if not rows:
         raise FileParseError(f"{path}:1: empty file (expected a header row)")
     header = rows[0]
@@ -140,8 +153,7 @@ def write_predictions_csv(path, p: PredictionSet | None) -> None:
 
 def read_predictions_csv(path) -> PredictionSet | None:
     path = Path(path)
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
+    rows = _rows(path)
     if not rows:
         raise FileParseError(f"{path}:1: empty file (expected a header row)")
     header = rows[0]

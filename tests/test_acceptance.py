@@ -11,18 +11,18 @@ import numpy as np
 
 import conftest
 import uqregress as uq
+from uqregress import evidential as ev
 from uqregress import io
 from uqregress.cli import main as cli_main
 from uqregress.core import RngSeed
 from uqregress.datagen import generate_synthetic
-from uqregress.evidential import EvidentialParams
 from uqregress.metrics import accuracy, dispersion, sharpness
 from uqregress.neural import MlpConfig, MlpModel, TrainConfig, loss_and_gradient, predict, train
 from uqregress.numerics import digamma, log_gamma, std_normal_cdf, std_normal_quantile
 from uqregress.recalibration import apply_scalar, fit_scalar
 from uqregress.scoring import interval_score
 from uqregress.screening import ScreenCriteria, honesty_rate, screen
-from uqregress.uq_methods import DropoutSpec, evidential_nll, evidential_predict, mc_dropout_predict
+from uqregress.uq_methods import DropoutSpec, evidential_predict, mc_dropout_predict
 
 from conftest import gaussian_null, make_pset
 from test_neural import (
@@ -53,7 +53,7 @@ def test_criterion_01_evidential_loss_correctness():
         + mpmath.loggamma(2)
         - mpmath.loggamma(mpmath.mpf("2.5"))
     )
-    value = evidential_nll(EvidentialParams(0.0, 1.0, 2.0, 1.0), 0.0)
+    value = float(ev.nll_array(0.0, 1.0, 2.0, 1.0, 0.0))
     probe_ok = abs(value - 0.9808) <= 1e-3 and abs(value - oracle) <= 1e-12
 
     worst = 0.0

@@ -395,3 +395,26 @@ class TestIllTypedConfig:
         assert run("screen", "--config", cfg) == 0
         assert io.read_manifest(io.manifest_path(out))["config"]["sigma_max"] == 1.0
         assert json.loads(out.read_text())["criteria"]["sigma_max"] == 1.0
+
+
+class TestUnwritableInputs:
+    @pytest.mark.parametrize("command, flags", [("screen", ["--hi", "inf"]),
+                                                ("evaluate", ["--honesty-multiplier", "inf"])])
+    def test_non_finite_flag_is_one_error_line(self, workspace, tmp_path, capsys, command, flags):
+        # strict JSON cannot hold inf: the output (screen) or its manifest
+        # (evaluate) fails to write, and no output is left behind
+        out = tmp_path / "out.json"
+        assert run(command, "--pred", workspace["preds"]["ensemble"], "--out", out, *flags) == 1
+        _one_error_line(capsys, str(out), "inf")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, body", [("screen", b"id,y_true,y_pred,sigma\n\xff,1,1,1\n"),
+                                               ("train", b"id,x0,y\nr0,1,\xff\n")])
+    def test_csv_that_is_not_utf8(self, tmp_path, capsys, command, body):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(body)
+        flags = {"screen": ["--pred", bad],
+                 "train": ["--method", "dropout", "--train", bad, *FAST_TRAIN]}[command]
+        assert run(command, *flags, "--out", tmp_path / "out.json") == 1
+        _one_error_line(capsys, f"{bad}:2:", "UTF-8")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]

@@ -6,6 +6,7 @@ same accept/reject decision and the same error text.
 """
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import csv_reference as ref
 from uqregress import io
 from uqregress.core import PredictionSet
+from uqregress.errors import NonFiniteValueError
 
 SPECIAL_FLOATS = (
     5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1e-310,
@@ -36,7 +38,7 @@ def _outcome(fn, path):
     """A comparable summary of reading ``path``: its values or its error."""
     try:
         got = fn(path)
-    except Exception as exc:  # the reference may raise csv/Unicode errors too
+    except Exception as exc:  # the reference may raise csv errors too
         return ("error", type(exc).__name__, str(exc))
     if got is None:
         return ("none",)
@@ -225,7 +227,7 @@ class TestAtomicWrites:
         target = tmp_path / "out.json"
         io.write_json(target, {"a": 1})
         before = target.read_bytes()
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteValueError, match=re.escape(str(target))):
             io.write_json(target, {"a": 1, "b": [1.0, float("nan")]})
         assert target.read_bytes() == before
         assert json.loads(before) == {"a": 1}
@@ -233,7 +235,7 @@ class TestAtomicWrites:
 
     def test_new_file_not_created_on_failure(self, tmp_path):
         target = tmp_path / "sub" / "new.json"
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteValueError, match=re.escape(str(target))):
             io.write_json(target, {"x": float("inf")})
         assert not target.exists()
         assert list((tmp_path / "sub").iterdir()) == []

@@ -3,19 +3,16 @@
 import numpy as np
 import pytest
 
+from uqregress import evidential as ev
 from uqregress.core import RngSeed, validate_prediction_set
 from uqregress.datagen import generate_synthetic
 from uqregress.errors import DomainError, FoldTooSmallError, WrongHeadWidthError
-from uqregress.evidential import EvidentialParams
 from uqregress.neural import MlpConfig, MlpModel, TrainConfig, loss_and_gradient, predict
 from uqregress.uq_methods import (
     DropoutSpec,
     EnsembleSpec,
     aggregate_member_predictions,
-    evidential_nll,
     evidential_predict,
-    evidential_regularizer,
-    evidential_uncertainties,
     kfold_ensemble_predict,
     mc_dropout_predict,
 )
@@ -152,60 +149,48 @@ class TestMcDropout:
 
 class TestEvidentialOps:
     def test_nll_probe_value(self):
-        params = EvidentialParams(gamma=1.2, nu=1.0, alpha=2.0, beta=1.0)
-        assert evidential_nll(params, 1.2) == pytest.approx(0.9808, abs=1e-3)
+        assert float(ev.nll_array(1.2, 1.0, 2.0, 1.0, 1.2)) == pytest.approx(0.9808, abs=1e-3)
 
     def test_nll_minimized_at_gamma_equals_y(self):
         y = 0.4
-        base = evidential_nll(EvidentialParams(y, 1.5, 2.5, 0.8), y)
+        base = float(ev.nll_array(y, 1.5, 2.5, 0.8, y))
         for off in (-0.5, -0.1, 0.1, 0.5):
-            assert evidential_nll(EvidentialParams(y + off, 1.5, 2.5, 0.8), y) > base
+            assert float(ev.nll_array(y + off, 1.5, 2.5, 0.8, y)) > base
 
     def test_doubling_beta_at_zero_residual_shifts_by_half_log2(self):
         y = 0.0
-        a = evidential_nll(EvidentialParams(y, 1.3, 2.2, 0.7), y)
-        b = evidential_nll(EvidentialParams(y, 1.3, 2.2, 1.4), y)
+        a = float(ev.nll_array(y, 1.3, 2.2, 0.7, y))
+        b = float(ev.nll_array(y, 1.3, 2.2, 1.4, y))
         assert b - a == pytest.approx(0.5 * np.log(2.0), rel=1e-12)
 
     def test_regularizer_examples(self):
-        assert evidential_regularizer(EvidentialParams(1.0, 1.0, 2.0, 1.0), 1.0) == 0.0
-        assert evidential_regularizer(EvidentialParams(0.0, 1.0, 2.0, 1.0), 1.0) == pytest.approx(4.0)
-        r1 = evidential_regularizer(EvidentialParams(0.0, 1.0, 2.0, 1.0), 0.5)
-        r2 = evidential_regularizer(EvidentialParams(0.0, 1.0, 2.0, 1.0), 1.0)
+        assert float(ev.regularizer_array(1.0, 1.0, 2.0, 1.0)) == 0.0
+        assert float(ev.regularizer_array(0.0, 1.0, 2.0, 1.0)) == pytest.approx(4.0)
+        r1 = float(ev.regularizer_array(0.0, 1.0, 2.0, 0.5))
+        r2 = float(ev.regularizer_array(0.0, 1.0, 2.0, 1.0))
         assert r2 == pytest.approx(2.0 * r1)
 
     def test_uncertainty_channels(self):
-        a, e = evidential_uncertainties(EvidentialParams(0.0, 1.0, 2.0, 1.0))
+        a, e = map(float, ev.uncertainty_channels(1.0, 2.0, 1.0))
         assert a == pytest.approx(1.0)
         assert e == pytest.approx(a)  # nu = 1 collapses the channels
-        a2, e2 = evidential_uncertainties(EvidentialParams(0.0, 1e9, 2.0, 1.0))
+        a2, e2 = map(float, ev.uncertainty_channels(1e9, 2.0, 1.0))
         assert a2 == pytest.approx(1.0)
         assert e2 < 1e-8
 
     def test_sqrt_option(self):
-        a, e = evidential_uncertainties(EvidentialParams(0.0, 4.0, 2.0, 1.0), apply_sqrt=True)
+        a, e = map(float, ev.uncertainty_channels(4.0, 2.0, 1.0, apply_sqrt=True))
         assert a == pytest.approx(1.0)
         assert e == pytest.approx(0.5)
-
-    def test_param_domain_enforced(self):
-        with pytest.raises(DomainError):
-            EvidentialParams(gamma=0.0, nu=0.0, alpha=2.0, beta=1.0)
-        with pytest.raises(DomainError):
-            EvidentialParams(gamma=0.0, nu=1.0, alpha=1.0, beta=1.0)
-        with pytest.raises(DomainError):
-            EvidentialParams(gamma=0.0, nu=1.0, alpha=2.0, beta=0.0)
 
     def test_standalone_loss_matches_training_loss(self):
         # nll + w * reg computed by hand equals the network's batch loss
         m = MlpModel.initialize(MlpConfig((2, 6, 4), activation="tanh", seed=RngSeed(19)))
         batch = dataset_from(np.array([[0.3, -1.2]]), np.array([0.9]))
-        raw = predict(m, batch.features)
-        from uqregress.evidential import head_transform
-
-        g, nu, al, be = head_transform(raw)
-        params = EvidentialParams(float(g[0]), float(nu[0]), float(al[0]), float(be[0]))
+        g, nu, al, be = ev.head_transform(predict(m, batch.features))
         for w in (0.0, 0.05, 0.2):
-            expected = evidential_nll(params, 0.9) + w * evidential_regularizer(params, 0.9)
+            expected = float(ev.nll_array(g, nu, al, be, 0.9)[0]
+                             + w * ev.regularizer_array(g, nu, al, 0.9)[0])
             loss, _ = loss_and_gradient(m, batch, loss="evidential", reg_weight=w)
             assert loss == pytest.approx(expected, abs=1e-12)
 
