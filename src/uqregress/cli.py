@@ -48,10 +48,6 @@ _RECAL_SPLIT_NS = 41
 METHODS = ("ensemble", "dropout", "evidential")
 
 
-def _seed(args) -> RngSeed:
-    return RngSeed(args.seed)
-
-
 def _widths(dim: int, hidden: str, out_width: int) -> tuple[int, ...]:
     try:
         hid = tuple(int(w) for w in hidden.split(",") if w.strip())
@@ -76,8 +72,8 @@ def _read_train_dataset(path):
     return f.dataset
 
 
-def cmd_generate(args, written: list[str]) -> list[str]:
-    base = _seed(args)
+def cmd_generate(args, written: list[str]) -> None:
+    base = RngSeed(args.seed)
     out_dir = Path(args.out)
     train_path = out_dir / "train.csv"
     test_path = out_dir / "test.csv"
@@ -94,79 +90,59 @@ def cmd_generate(args, written: list[str]) -> list[str]:
                 groups=ds.groups, true_sigma=data.true_sigma,
             )
         written.append(str(path))
-    return written
 
 
-def cmd_train(args, written: list[str]) -> list[str]:
+def cmd_train(args, written: list[str]) -> None:
     data = _read_train_dataset(args.train)
-    base = _seed(args)
-    if args.method == "ensemble":
-        spec = EnsembleSpec(
-            k=args.k,
-            member_training=args.member_training,
-            mlp=MlpConfig(
-                layer_widths=_widths(data.dim, args.hidden, 1),
-                activation=args.activation,
-                dropout_rate=0.0,
-                seed=base.derive(_MODEL_INIT_NS),
-            ),
-            train=TrainConfig(
-                epochs=args.epochs, batch_size=args.batch_size,
-                learning_rate=args.learning_rate, lr_decay=args.lr_decay,
-                loss="squared_error", seed=base.derive(_MODEL_TRAIN_NS),
-            ),
-        )
-        members = train_kfold_members(data, spec)
-        io.save_ensemble(args.out, members, args.member_training)
-        written.append(str(args.out))
-        return written
-
-    out_width = 4 if args.method == "evidential" else 1
-    loss = "evidential" if args.method == "evidential" else "squared_error"
-    rate = args.dropout_rate if args.method == "dropout" else 0.0
-    model = MlpModel.initialize(MlpConfig(
-        layer_widths=_widths(data.dim, args.hidden, out_width),
+    base = RngSeed(args.seed)
+    evidential = args.method == "evidential"
+    mlp = MlpConfig(
+        layer_widths=_widths(data.dim, args.hidden, 4 if evidential else 1),
         activation=args.activation,
-        dropout_rate=rate,
+        dropout_rate=args.dropout_rate if args.method == "dropout" else 0.0,
         seed=base.derive(_MODEL_INIT_NS),
-    ))
+    )
     cfg = TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.learning_rate,
-        lr_decay=args.lr_decay, loss=loss,
-        reg_weight=args.reg_weight if loss == "evidential" else 0.0,
+        lr_decay=args.lr_decay, loss="evidential" if evidential else "squared_error",
+        reg_weight=args.reg_weight if evidential else 0.0,
         seed=base.derive(_MODEL_TRAIN_NS),
     )
-    train(model, data, cfg)
-    io.save_model(args.out, model)
+    if args.method == "ensemble":
+        spec = EnsembleSpec(k=args.k, mlp=mlp, train=cfg, member_training=args.member_training)
+        members = train_kfold_members(data, spec)
+        io.save_ensemble(args.out, members, args.member_training)
+    else:
+        model = MlpModel.initialize(mlp)
+        train(model, data, cfg)
+        io.save_model(args.out, model)
     written.append(str(args.out))
-    return written
 
 
-def cmd_predict(args, written: list[str]) -> list[str]:
+def cmd_predict(args, written: list[str]) -> None:
     f = io.read_dataset_csv(args.test)
     checkpoint = io.load_checkpoint(args.model)
     if f.dataset is None:  # empty test set: header-only predictions, success
         io.write_predictions_csv(args.out, None)
         written.append(str(args.out))
-        return written
+        return
     test = f.dataset
+    is_ensemble = isinstance(checkpoint, list)
+    if is_ensemble != (args.method == "ensemble"):
+        have, need = (("an ensemble", "a single model") if is_ensemble
+                      else ("a single model", "an ensemble checkpoint"))
+        raise DomainError(f"{args.model} is {have}; {args.method} prediction needs {need}")
     if args.method == "ensemble":
-        if not isinstance(checkpoint, list):
-            raise DomainError(f"{args.model} is a single model; ensemble prediction needs an ensemble checkpoint")
         pred = ensemble_predict(checkpoint, test)
     elif args.method == "dropout":
-        if isinstance(checkpoint, list):
-            raise DomainError(f"{args.model} is an ensemble; dropout prediction needs a single model")
         rate = checkpoint.config.dropout_rate if args.rate is None else args.rate
-        pred = mc_dropout_predict(checkpoint, test, DropoutSpec(args.samples, rate, _seed(args)))
+        spec = DropoutSpec(args.samples, rate, RngSeed(args.seed))
+        pred = mc_dropout_predict(checkpoint, test, spec)
     else:
-        if isinstance(checkpoint, list):
-            raise DomainError(f"{args.model} is an ensemble; evidential prediction needs a single model")
         pred = evidential_predict(checkpoint, test, uncertainty=args.uncertainty,
                                   apply_sqrt=args.sqrt_uncertainty)
     io.write_predictions_csv(args.out, pred)
     written.append(str(args.out))
-    return written
 
 
 def _require_predictions(path):
@@ -176,7 +152,7 @@ def _require_predictions(path):
     return p
 
 
-def cmd_evaluate(args, written: list[str]) -> list[str]:
+def cmd_evaluate(args, written: list[str]) -> None:
     p = _require_predictions(args.pred)
     report, curve = evaluate(p, grid_size=args.grid_size, honesty_multiplier=args.honesty_multiplier)
     out = Path(args.out)
@@ -194,26 +170,24 @@ def cmd_evaluate(args, written: list[str]) -> list[str]:
         report = dataclasses.replace(report, errors=report.errors + ("DegenerateSample",))
     io.write_json(out, report_to_dict(report))
     written.insert(0, str(out))
-    return written
 
 
-def cmd_adversarial(args, written: list[str]) -> list[str]:
+def cmd_adversarial(args, written: list[str]) -> None:
     fractions = _fractions(args.fractions)
     p = _require_predictions(args.pred)
     adv = adversarial_group_calibration(
         p, fractions, trials=args.trials, subgroups=args.subgroups,
-        seed=_seed(args), grid_size=args.grid_size,
+        seed=RngSeed(args.seed), grid_size=args.grid_size,
     )
     io.write_adversarial_csv(args.out, adv)
     written.append(str(args.out))
-    return written
 
 
-def cmd_recalibrate(args, written: list[str]) -> list[str]:
+def cmd_recalibrate(args, written: list[str]) -> None:
     p = _require_predictions(args.pred)
     holdout = None
     if args.fit_on == "split":
-        perm = _seed(args).derive(_RECAL_SPLIT_NS).generator().permutation(p.n)
+        perm = RngSeed(args.seed).derive(_RECAL_SPLIT_NS).generator().permutation(p.n)
         n_fit = int(round(args.fit_fraction * p.n))
         if n_fit < 2 or p.n - n_fit < 0:
             raise DomainError(f"fit fraction {args.fit_fraction} leaves {n_fit} fit rows")
@@ -255,10 +229,9 @@ def cmd_recalibrate(args, written: list[str]) -> list[str]:
     out_pred = Path(args.out_pred) if args.out_pred else Path(args.out).with_suffix(".recalibrated.csv")
     io.write_predictions_csv(out_pred, recalibrated)
     written.append(str(out_pred))
-    return written
 
 
-def cmd_screen(args, written: list[str]) -> list[str]:
+def cmd_screen(args, written: list[str]) -> None:
     p = _require_predictions(args.pred)
     criteria = ScreenCriteria(
         value_lo=args.lo, value_hi=args.hi,
@@ -267,12 +240,7 @@ def cmd_screen(args, written: list[str]) -> list[str]:
     rep = screen(p, criteria)
     io.write_json(Path(args.out), {
         "format": "uqregress-screen-v1",
-        "criteria": {
-            "value_lo": criteria.value_lo,
-            "value_hi": criteria.value_hi,
-            "sigma_max": criteria.sigma_max,
-            "honesty_multiplier": criteria.honesty_multiplier,
-        },
+        "criteria": dataclasses.asdict(criteria),
         "n_selected": rep.n_selected,
         "n_honest": rep.n_honest,
         "n_dishonest": rep.n_dishonest,
@@ -282,7 +250,6 @@ def cmd_screen(args, written: list[str]) -> list[str]:
         "overall_honesty_rate": honesty_rate(p, criteria.honesty_multiplier),
     })
     written.append(str(args.out))
-    return written
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
@@ -297,6 +264,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
         sp.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
         sp.add_argument("--config", type=str, default=None,
                         help="JSON config (keys mirror the flags); a run manifest also works")
+
+    def grid_size(sp):
+        sp.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE,
+                        help="interior points of the calibration grid")
 
     g = sub.add_parser("generate", formatter_class=fmt, help="write synthetic train/test dataset CSVs")
     g.add_argument("--out", required=True, help="output directory (train.csv, test.csv)")
@@ -349,8 +320,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
     e.add_argument("--out", required=True, help="report JSON path")
     e.add_argument("--curve-out", default=None, help="calibration curve CSV (default <out>.curve.csv)")
     e.add_argument("--violin-out", default=None, help="sigma distribution CSV (default <out>.violin.csv)")
-    e.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE,
-                   help="interior points of the calibration grid")
+    grid_size(e)
     e.add_argument("--honesty-multiplier", type=float, default=3.0,
                    help="interval half-width in sigmas for the honesty rate")
     e.add_argument("--violin-points", type=int, default=128, help="KDE grid size")
@@ -364,8 +334,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
                    help="comma-separated subgroup fractions of the test set")
     a.add_argument("--trials", type=int, default=100, help="trials per fraction")
     a.add_argument("--subgroups", type=int, default=10, help="subgroups per trial")
-    a.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE,
-                   help="interior points of the calibration grid")
+    grid_size(a)
     common(a)
     a.set_defaults(func=cmd_adversarial)
 
@@ -380,8 +349,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
                    help="share of rows used to fit the scalar under --fit-on split")
     r.add_argument("--bracket-lo", type=float, default=1e-3, help="scalar search lower bound")
     r.add_argument("--bracket-hi", type=float, default=1e3, help="scalar search upper bound")
-    r.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE,
-                   help="interior points of the calibration grid")
+    grid_size(r)
     common(r)
     r.set_defaults(func=cmd_recalibrate)
 
@@ -450,28 +418,28 @@ def _resolved_config(args) -> dict:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, sub = build_parser()
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config", nargs="?")  # a bare --config is left for `parser` to report
     written: list[str] = []
     try:
-        if "--config" in argv:
-            if not argv or argv[0] not in sub.choices:
+        config_path = pre.parse_known_args(argv)[0].config
+        if config_path is not None:
+            if argv[0] not in sub.choices:
                 parser.error("--config requires a leading command name")
-            at = argv.index("--config")
-            if at + 1 >= len(argv):
-                parser.error("--config needs a file path")
-            _load_config_defaults(argv[at + 1], argv[0], sub)
+            _load_config_defaults(config_path, argv[0], sub)
         args = parser.parse_args(argv)
         started = time.time()
-        outputs = args.func(args, written)
+        args.func(args, written)
         config = _resolved_config(args)
         inputs = [str(getattr(args, k)) for k in ("train", "test", "pred", "model")
                   if getattr(args, k, None)]
-        for out in outputs:
-            io.write_manifest(out, args.command, config, inputs, outputs, started)
-    except (UqError, OSError) as exc:
-        # a partial output must never survive without its manifest
         for out in written:
-            if not io.manifest_path(out).exists():
-                Path(out).unlink(missing_ok=True)
+            io.write_manifest(out, args.command, config, inputs, written, started)
+    except (UqError, OSError) as exc:
+        # a failed run leaves none of its outputs behind, nor their manifests
+        for out in written:
+            Path(out).unlink(missing_ok=True)
+            io.manifest_path(out).unlink(missing_ok=True)
         print(f"uqregress: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -47,11 +47,6 @@ _QUOTE_TRIGGER = re.compile('[,"\r\n\x00]')
 _PLAIN_BYTES = bytes(c for c in range(0x20, 0x7F) if c != 0x22) + b"\n"
 
 
-def fmt(x: float) -> str:
-    """Shortest decimal string that round-trips to the same float64."""
-    return repr(float(x))
-
-
 def _parse_float(token: str, path: Path, line: int, col: str) -> float:
     try:
         return float(token)
@@ -119,10 +114,10 @@ def _text_cells(values) -> list[str]:
 def write_columns_csv(path, header, columns) -> None:
     """Write ``header`` and one row per index of the aligned ``columns``.
 
-    An ndarray column holds floats, written with :func:`fmt`; any other
-    sequence holds text. Rows are formatted ``CHUNK_ROWS`` at a time, and the
-    bytes equal those ``csv.writer(f, lineterminator="\\n")`` writes for the
-    same rows.
+    An ndarray column holds floats, each written as its ``repr`` (the shortest
+    decimal that reads back as the same float64); any other sequence holds
+    text. Rows are formatted ``CHUNK_ROWS`` at a time, and the bytes equal
+    those ``csv.writer(f, lineterminator="\\n")`` writes for the same rows.
     """
     n = len(columns[0]) if columns else 0
     if any(len(c) != n for c in columns):

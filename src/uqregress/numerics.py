@@ -3,7 +3,7 @@
 The probability functions accept scalars or numpy arrays and are exact to
 machine precision (they delegate to the battle-tested scipy/C implementations
 behind this module's contract). scipy is imported on first use, inside the
-function that needs it, so importing this module or the CLI does not load it.
+call that needs it, so importing this module or the CLI does not load it.
 The KDE is written out here because its bandwidth convention — Bessel-corrected
 sample std times n**(-1/5) — and its degenerate-sample behavior are part of
 the contract.
@@ -21,53 +21,44 @@ from .errors import DegenerateSampleError, DomainError, NonFiniteValueError
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _as_float_or_array(x):
+def _special(name: str, x, bad, message: str):
+    """``scipy.special.<name>`` of ``x`` as a float (scalar ``x``) or an array.
+
+    Raises DomainError(``message``) if ``bad`` is true anywhere on ``x``, before
+    scipy is imported.
+    """
     arr = np.asarray(x, dtype=np.float64)
-    return arr, arr.ndim == 0
+    if np.any(bad(arr)):
+        raise DomainError(message)
+    from scipy import special
+
+    out = getattr(special, name)(arr)
+    return float(out) if arr.ndim == 0 else out
+
+
+def _not_finite_positive(a):
+    return ~(np.isfinite(a) & (a > 0.0))
 
 
 def std_normal_cdf(x):
     """Standard normal CDF Φ(x). Vectorized; |error| < 1e-15."""
-    arr, scalar = _as_float_or_array(x)
-    if not np.all(np.isfinite(arr) | np.isposinf(arr) | np.isneginf(arr)):
-        raise DomainError("std_normal_cdf requires non-NaN input")
-    from scipy.special import ndtr
-
-    out = ndtr(arr)
-    return float(out) if scalar else out
+    return _special("ndtr", x, np.isnan, "std_normal_cdf requires non-NaN input")
 
 
 def std_normal_quantile(p):
     """Inverse standard normal CDF Φ⁻¹(p) for p in (0, 1). Vectorized."""
-    arr, scalar = _as_float_or_array(p)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError("std_normal_quantile requires p in the open interval (0, 1)")
-    from scipy.special import ndtri
-
-    out = ndtri(arr)
-    return float(out) if scalar else out
+    return _special("ndtri", p, lambda a: ~((a > 0.0) & (a < 1.0)),
+                    "std_normal_quantile requires p in the open interval (0, 1)")
 
 
 def log_gamma(x):
     """ln Γ(x) for x > 0. Vectorized."""
-    arr, scalar = _as_float_or_array(x)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError("log_gamma requires x > 0")
-    from scipy.special import gammaln
-
-    out = gammaln(arr)
-    return float(out) if scalar else out
+    return _special("gammaln", x, _not_finite_positive, "log_gamma requires x > 0")
 
 
 def digamma(x):
     """ψ(x) = d/dx ln Γ(x) for x > 0. Vectorized."""
-    arr, scalar = _as_float_or_array(x)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError("digamma requires x > 0")
-    from scipy.special import psi
-
-    out = psi(arr)
-    return float(out) if scalar else out
+    return _special("psi", x, _not_finite_positive, "digamma requires x > 0")
 
 
 @dataclass(frozen=True)

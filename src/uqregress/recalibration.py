@@ -24,6 +24,8 @@ from .errors import AllSigmaZeroError, DomainError, NonPositiveScalarError
 from .numerics import BrentResult, brent_minimize
 
 PRESCAN_POINTS = 25
+BRENT_TOL = 1e-6  # absolute tolerance on ln(s)
+BRENT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,6 @@ def fit_scalar(
     bracket_lo: float = 1e-3,
     bracket_hi: float = 1e3,
     grid_size: int = DEFAULT_GRID_SIZE,
-    tol: float = 1e-6,
-    max_iter: int = 200,
 ) -> RecalibrationResult:
     """Fit the sigma multiplier that minimizes miscalibration area.
 
@@ -63,9 +63,11 @@ def fit_scalar(
     are excluded, and a scale that leaves fewer than 2 usable points raises
     DomainError.
 
-    The returned scalar is never worse (in area, up to ``tol``) than the best
-    pre-scan point; with the default symmetric bracket the pre-scan includes
-    s = 1 exactly, so the fit can only improve on the uncalibrated area.
+    Brent then refines ln(s) inside the best pre-scan cell to ``BRENT_TOL``,
+    in at most ``BRENT_MAX_ITER`` iterations. The returned scalar is never
+    worse in area than the best pre-scan point; with the default symmetric
+    bracket the pre-scan includes s = 1 exactly, so the fit can only improve
+    on the uncalibrated area.
     A non-converged Brent run is reported via ``brent.converged`` rather than
     raised; the best point found is still returned.
     """
@@ -90,7 +92,7 @@ def fit_scalar(
     cell_lo = scan_t[max(best - 1, 0)]
     cell_hi = scan_t[min(best + 1, PRESCAN_POINTS - 1)]
 
-    brent = brent_minimize(area_at, cell_lo, cell_hi, tol=tol, max_iter=max_iter)
+    brent = brent_minimize(area_at, cell_lo, cell_hi, tol=BRENT_TOL, max_iter=BRENT_MAX_ITER)
     if brent.value <= scan_area[best]:
         t_star, area_after = brent.argmin, brent.value
     else:  # keep the incumbent if Brent stalled on a flat/multimodal cell

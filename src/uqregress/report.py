@@ -95,19 +95,30 @@ def _to_json(kind, value):
 
 def _from_json(kind, value, where: str):
     """JSON data read back as the declared type ``kind``; a null float is NaN,
-    except where the field may be None."""
+    except where the field may be None. A value of the wrong JSON type raises
+    ReportSchemaError naming the dotted field ``where``."""
     if is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ReportSchemaError(f"{where} must be a JSON object, got {type(value).__name__}")
         hints = get_type_hints(kind)
         _check_keys(value, tuple(f.name for f in fields(kind)), where)
         return kind(**{f.name: _from_json(hints[f.name], value[f.name], f"{where}.{f.name}")
                        for f in fields(kind)})
     if kind is int:
-        return int(value)
-    if get_origin(kind) is tuple:
-        return tuple(value)
-    if value is None:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        want = "an integer"
+    elif get_origin(kind) is tuple:
+        if isinstance(value, list) and all(isinstance(v, str) for v in value):
+            return tuple(value)
+        want = "a list of strings"
+    elif value is None:
         return math.nan if kind is float else None
-    return float(value)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    else:
+        want = "a number or null"
+    raise ReportSchemaError(f"{where} must be {want}, got {type(value).__name__}")
 
 
 def report_to_dict(r: MetricsReport) -> dict:

@@ -1,8 +1,9 @@
 """Reference report serializer: the hand-written, field-by-field codec.
 
 This is the report (de)serialization as it stood before ``uqregress.report``
-walked the dataclass fields. The property tests hold the field walk to it:
-same JSON text written, and the same report or the same error read back.
+walked the dataclass fields, with the same JSON type check on every value
+read back. The property tests hold the field walk to it: same JSON text
+written, and the same report or the same error read back.
 """
 
 from __future__ import annotations
@@ -21,8 +22,30 @@ def _num(x: float | None):
     return float(x)
 
 
-def _denum(x) -> float:
+def _wrong(where: str, want: str, x):
+    return ReportSchemaError(f"{where} must be {want}, got {type(x).__name__}")
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _denum(x, where: str) -> float:
+    if x is not None and not _is_number(x):
+        raise _wrong(where, "a number or null", x)
     return math.nan if x is None else float(x)
+
+
+def _int(x, where: str) -> int:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise _wrong(where, "an integer", x)
+    return x
+
+
+def _strs(x, where: str) -> tuple[str, ...]:
+    if not isinstance(x, list) or not all(isinstance(v, str) for v in x):
+        raise _wrong(where, "a list of strings", x)
+    return tuple(x)
 
 
 _ACCURACY_KEYS = ("mae", "rmse", "mdae", "marpd", "r2", "pearson_r", "n",
@@ -76,6 +99,8 @@ def report_to_dict(r: MetricsReport) -> dict:
 
 
 def _check_keys(d: dict, allowed: tuple[str, ...], where: str) -> None:
+    if not isinstance(d, dict):
+        raise _wrong(where, "a JSON object", d)
     unknown = set(d) - set(allowed)
     if unknown:
         raise ReportSchemaError(f"unknown field(s) {sorted(unknown)} in {where}")
@@ -85,37 +110,51 @@ def _check_keys(d: dict, allowed: tuple[str, ...], where: str) -> None:
 
 
 def report_from_dict(d: dict) -> MetricsReport:
-    """Parse and validate a report dict; rejects unknown fields and versions."""
-    if not isinstance(d, dict):
-        raise ReportSchemaError(f"report must be a JSON object, got {type(d).__name__}")
+    """Parse and validate a report dict; rejects unknown fields and versions,
+    and values of the wrong JSON type."""
     _check_keys(d, _REPORT_KEYS, "report")
     if d["format"] != REPORT_FORMAT:
         raise ReportSchemaError(f"unsupported report format {d['format']!r}")
     _check_keys(d["accuracy"], _ACCURACY_KEYS, "report.accuracy")
     _check_keys(d["dispersion"], _DISPERSION_KEYS, "report.dispersion")
     a, dd = d["accuracy"], d["dispersion"]
+
+    def acc(key):
+        return _denum(a[key], f"report.accuracy.{key}")
+
+    def disp(key):
+        return _denum(dd[key], f"report.dispersion.{key}")
+
+    def top(key):
+        return _denum(d[key], f"report.{key}")
+
     return MetricsReport(
-        n=int(d["n"]),
+        n=_int(d["n"], "report.n"),
         accuracy=AccuracyReport(
-            mae=_denum(a["mae"]), rmse=_denum(a["rmse"]), mdae=_denum(a["mdae"]),
-            marpd=_denum(a["marpd"]), r2=_denum(a["r2"]), pearson_r=_denum(a["pearson_r"]),
-            n=int(a["n"]),
-            marpd_zero_denominator_count=int(a["marpd_zero_denominator_count"]),
-            errors=tuple(a["errors"]),
+            mae=acc("mae"), rmse=acc("rmse"), mdae=acc("mdae"),
+            marpd=acc("marpd"), r2=acc("r2"), pearson_r=acc("pearson_r"),
+            n=_int(a["n"], "report.accuracy.n"),
+            marpd_zero_denominator_count=_int(a["marpd_zero_denominator_count"],
+                                              "report.accuracy.marpd_zero_denominator_count"),
+            errors=_strs(a["errors"], "report.accuracy.errors"),
         ),
-        sharpness=_denum(d["sharpness"]),
+        sharpness=top("sharpness"),
         dispersion=DispersionReport(
-            q1=_denum(dd["q1"]), q2=_denum(dd["q2"]), q3=_denum(dd["q3"]),
-            iqr=_denum(dd["iqr"]), whisker_lo=_denum(dd["whisker_lo"]),
-            whisker_hi=_denum(dd["whisker_hi"]), cv=_denum(dd["cv"]),
-            sharpness=_denum(dd["sharpness"]), outlier_count=int(dd["outlier_count"]),
-            n=int(dd["n"]), errors=tuple(dd["errors"]),
+            q1=disp("q1"), q2=disp("q2"), q3=disp("q3"),
+            iqr=disp("iqr"), whisker_lo=disp("whisker_lo"),
+            whisker_hi=disp("whisker_hi"), cv=disp("cv"),
+            sharpness=disp("sharpness"),
+            outlier_count=_int(dd["outlier_count"], "report.dispersion.outlier_count"),
+            n=_int(dd["n"], "report.dispersion.n"),
+            errors=_strs(dd["errors"], "report.dispersion.errors"),
         ),
-        miscalibration_area=None if d["miscalibration_area"] is None else float(d["miscalibration_area"]),
-        calibration_n_used=int(d["calibration_n_used"]),
-        calibration_n_excluded_zero_sigma=int(d["calibration_n_excluded_zero_sigma"]),
-        interval_score_mean=_denum(d["interval_score_mean"]),
-        honesty_multiplier=_denum(d["honesty_multiplier"]),
-        honesty_rate=_denum(d["honesty_rate"]),
-        errors=tuple(d["errors"]),
+        miscalibration_area=(None if d["miscalibration_area"] is None
+                             else top("miscalibration_area")),
+        calibration_n_used=_int(d["calibration_n_used"], "report.calibration_n_used"),
+        calibration_n_excluded_zero_sigma=_int(d["calibration_n_excluded_zero_sigma"],
+                                               "report.calibration_n_excluded_zero_sigma"),
+        interval_score_mean=top("interval_score_mean"),
+        honesty_multiplier=top("honesty_multiplier"),
+        honesty_rate=top("honesty_rate"),
+        errors=_strs(d["errors"], "report.errors"),
     )

@@ -79,12 +79,19 @@ class TestPredict:
                    "--test", empty, "--out", out) == 0
         assert out.read_text() == "id,y_true,y_pred,sigma\n"
 
-    def test_method_checkpoint_mismatch_fails(self, workspace, tmp_path, capsys):
-        code = run("predict", "--method", "ensemble",
-                   "--model", workspace["models"]["dropout"],
+    @pytest.mark.parametrize("method, trained, message", [
+        ("ensemble", "dropout", "is a single model; ensemble prediction needs an ensemble checkpoint"),
+        ("dropout", "ensemble", "is an ensemble; dropout prediction needs a single model"),
+        ("evidential", "ensemble", "is an ensemble; evidential prediction needs a single model"),
+    ], ids=("ensemble", "dropout", "evidential"))
+    def test_method_checkpoint_mismatch_fails(self, workspace, tmp_path, capsys,
+                                              method, trained, message):
+        model = workspace["models"][trained]
+        code = run("predict", "--method", method, "--model", model,
                    "--test", workspace["data"] / "test.csv", "--out", tmp_path / "x.csv")
         assert code == 1
-        assert "ensemble" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"uqregress: error: {model} {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEvaluate:
@@ -264,6 +271,13 @@ class TestConfigAndManifests:
         assert run("screen", "--config", cfg) == 0
         assert json.loads(out.read_text())["criteria"]["sigma_max"] == 0.2
 
+    def test_config_given_with_equals_sign(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n_train": 30}')
+        assert run("generate", f"--config={cfg}", "--out", tmp_path / "data",
+                   "--n-test", 5, "--dim", 1) == 0
+        assert len((tmp_path / "data/train.csv").read_text().splitlines()) == 31
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"bogus": 1}')
@@ -406,6 +420,17 @@ class TestUnwritableInputs:
         out = tmp_path / "out.json"
         assert run(command, "--pred", workspace["preds"]["ensemble"], "--out", out, *flags) == 1
         _one_error_line(capsys, str(out), "inf")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rerun_removes_outputs_and_their_old_manifests(self, workspace, tmp_path,
+                                                                   capsys):
+        # the first run leaves manifests beside the outputs; the failed rerun
+        # rewrites the outputs, then fails on its first manifest
+        out = tmp_path / "r.json"
+        assert run("evaluate", "--pred", workspace["preds"]["ensemble"], "--out", out) == 0
+        assert run("evaluate", "--pred", workspace["preds"]["ensemble"], "--out", out,
+                   "--grid-size", 9, "--honesty-multiplier", "inf") == 1
+        _one_error_line(capsys, "inf")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command, body", [("screen", b"id,y_true,y_pred,sigma\n\xff,1,1,1\n"),

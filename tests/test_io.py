@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uqregress import io
-from uqregress.core import RngSeed
+from uqregress.core import PredictionSet, RngSeed
 from uqregress.datagen import generate_synthetic
 from uqregress.errors import FileParseError, ReportSchemaError
 from uqregress.neural import MlpConfig, MlpModel
@@ -129,10 +129,23 @@ class TestManifests:
 
 
 class TestFloatFormat:
-    def test_shortest_round_trip(self):
-        for v in (0.1, 1 / 3, 1e-17, 123456.789, -2.5e300):
-            assert float(io.fmt(v)) == v
+    @staticmethod
+    def _round_trip(path, values):
+        """Write ``values`` as every float column of a prediction CSV and
+        check that reading it back gives the same float64 bits."""
+        v = np.array(values, dtype=np.float64)
+        columns = (v, -v, np.abs(v))
+        io.write_predictions_csv(path, PredictionSet(
+            ids=tuple(f"r{i}" for i in range(v.size)), y_true=columns[0], mu=columns[1],
+            sigma=columns[2]))
+        back = io.read_predictions_csv(path)
+        for read, written in zip((back.y_true, back.mu, back.sigma), columns):
+            assert read.tobytes() == written.tobytes()
 
-    def test_fifteen_plus_significant_digits(self):
-        v = 0.12345678901234567
-        assert float(io.fmt(v)) == v
+    def test_shortest_round_trip(self, tmp_path):
+        path = tmp_path / "p.csv"
+        self._round_trip(path, (0.1, 1 / 3, 1e-17, 123456.789, -2.5e300))
+        assert path.read_text().splitlines()[1] == "r0,0.1,-0.1,0.1"
+
+    def test_fifteen_plus_significant_digits(self, tmp_path):
+        self._round_trip(tmp_path / "p.csv", (0.12345678901234567,))

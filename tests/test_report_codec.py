@@ -1,19 +1,23 @@
 """The dataclass-walk report codec against the hand-written reference.
 
 Written JSON text must equal the reference's, and reading back a dict, as
-written or with its keys, format or type broken, must give the same report
-or the same error type and message.
+written or with its keys, format, a value's type or its own type broken, must
+give the same report or the same error type and message.
 """
 
 import json
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import report_reference as ref
 from uqregress import report
+from uqregress.errors import ReportSchemaError
 from uqregress.metrics import AccuracyReport, DispersionReport
+
+from conftest import gaussian_null
 
 SETTINGS = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -65,12 +69,22 @@ def test_round_trip_matches_reference(r):
     assert _outcome(report.report_from_dict, d) == _outcome(ref.report_from_dict, d)
 
 
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=2)),
+    max_leaves=4,
+)
+
+
 @st.composite
 def mutated(draw):
     """A written report dict with one key added or removed (top level or
-    nested), its format changed, a nested object replaced, or not a dict."""
+    nested), its format changed, a nested object replaced, one value replaced
+    by a JSON value of any type, or not a dict."""
     d = json.loads(_text(ref.report_to_dict, draw(reports)))
-    kind = draw(st.sampled_from(("extra", "missing", "format", "nested", "not_dict")))
+    kind = draw(st.sampled_from(("extra", "missing", "format", "nested", "value", "not_dict")))
     level = d if draw(st.booleans()) else d[draw(st.sampled_from(("accuracy", "dispersion")))]
     if kind == "extra":
         level[draw(st.text(max_size=12))] = draw(st.one_of(st.none(), st.integers(), st.text()))
@@ -82,6 +96,9 @@ def mutated(draw):
     elif kind == "nested":
         d[draw(st.sampled_from(("accuracy", "dispersion")))] = draw(
             st.one_of(st.none(), st.integers(), st.lists(st.text(max_size=4), max_size=3)))
+    elif kind == "value":
+        key = draw(st.sampled_from(sorted(k for k in level if k != "format")))
+        level[key] = draw(json_values)
     else:
         d = draw(st.one_of(st.none(), st.integers(), st.text(max_size=8),
                            st.lists(st.integers(), max_size=3), st.just(list(d.items()))))
@@ -93,3 +110,29 @@ def mutated(draw):
 def test_mutated_dicts_match_reference(d):
     assert _outcome(report.report_from_dict, d) == _outcome(ref.report_from_dict, d)
 
+
+WRONG_TYPES = [
+    (("accuracy",), None, "report.accuracy must be a JSON object, got NoneType"),
+    (("errors",), 5, "report.errors must be a list of strings, got int"),
+    (("accuracy", "errors"), ["ok", 1], "report.accuracy.errors must be a list of strings"),
+    (("n",), "many", "report.n must be an integer, got str"),
+    (("n",), 2.5, "report.n must be an integer, got float"),
+    (("dispersion", "outlier_count"), True, "report.dispersion.outlier_count must be an integer"),
+    (("sharpness",), "0.1", "report.sharpness must be a number or null, got str"),
+    (("accuracy", "mae"), False, "report.accuracy.mae must be a number or null, got bool"),
+]
+
+
+@pytest.mark.parametrize("path, value, needle", WRONG_TYPES,
+                         ids=[f"{'.'.join(p)}={v!r}" for p, v, _ in WRONG_TYPES])
+def test_wrong_value_type_names_the_field(path, value, needle):
+    r, _ = report.evaluate(gaussian_null(50, 1))
+    d = report.report_to_dict(r)
+    *parents, key = path
+    level = d
+    for name in parents:
+        level = level[name]
+    level[key] = value
+    for from_dict in (report.report_from_dict, ref.report_from_dict):
+        with pytest.raises(ReportSchemaError, match=needle):
+            from_dict(d)
