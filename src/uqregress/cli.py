@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 from pathlib import Path
@@ -410,6 +411,16 @@ def _load_config_defaults(path: str, command: str, sub: argparse._SubParsersActi
             action.required = False
 
 
+def _check_finite_floats(args, sp: argparse.ArgumentParser) -> None:
+    """Reject NaN and ±inf in every float flag, given directly or through
+    --config, before any work: no command can use one, and strict JSON (the
+    outputs and the manifest) cannot record it."""
+    for action in sp._actions:
+        value = getattr(args, action.dest, None)
+        if action.type is float and value is not None and not math.isfinite(value):
+            raise DomainError(f"{action.option_strings[0]} must be a finite number, got {value}")
+
+
 def _resolved_config(args) -> dict:
     skip = {"command", "config", "func"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
@@ -428,6 +439,7 @@ def main(argv=None) -> int:
                 parser.error("--config requires a leading command name")
             _load_config_defaults(config_path, argv[0], sub)
         args = parser.parse_args(argv)
+        _check_finite_floats(args, sub.choices[args.command])
         started = time.time()
         args.func(args, written)
         config = _resolved_config(args)

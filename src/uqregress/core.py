@@ -28,15 +28,24 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _S30, _S27, _S31, _S11 = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11)
 
 
+def _mix(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
+    # SplitMix64 after its golden-ratio add. Updates an array in place (a
+    # scalar is rebound), so x must be a value the caller owns. uint64
+    # arithmetic wraps mod 2**64, which is the point; callers silence numpy's
+    # scalar-overflow warning.
+    x ^= x >> _S30
+    x *= _MIX1
+    x ^= x >> _S27
+    x *= _MIX2
+    x ^= x >> _S31
+    return x
+
+
 def _splitmix64(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
     # SplitMix64 finalizer: a full-period 64-bit mixer, stable across platforms.
-    # uint64 arithmetic wraps mod 2**64, which is the point; silence numpy's
-    # scalar-overflow warning.
+    # The add makes a fresh value, so the caller's x is never written.
     with np.errstate(over="ignore"):
-        x = x + _GOLDEN
-        x = (x ^ (x >> _S30)) * _MIX1
-        x = (x ^ (x >> _S27)) * _MIX2
-        return x ^ (x >> _S31)
+        return _mix(x + _GOLDEN)
 
 
 @dataclass(frozen=True)
@@ -69,20 +78,34 @@ class RngSeed:
         return RngSeed(self.seed, int(s))
 
 
-def counter_uniform(seed: RngSeed, *index_arrays) -> np.ndarray:
+def counter_uniform(seed: RngSeed, *index_arrays, out: np.ndarray | None = None) -> np.ndarray:
     """Stateless uniforms in [0, 1) indexed by integer coordinates.
 
     ``counter_uniform(seed, i, s, l, j)`` depends only on (seed, i, s, l, j),
     never on evaluation order or array layout, which makes per-(point, sample)
     dropout masks reproducible under any parallel schedule. Index arrays are
-    broadcast against each other; the result has their broadcast shape.
+    broadcast against each other; the result has their broadcast shape. A
+    C-contiguous float64 ``out`` of that shape receives the uniforms in place
+    of a fresh array, so a caller drawing many times can reuse one buffer.
     """
-    x = _splitmix64(np.uint64(seed.seed) ^ _splitmix64(np.uint64(seed.stream_id)))
-    for arr in index_arrays:
-        # hash each index at its own shape; the chain broadcasts as it grows,
-        # so only the steps after the widest index run on the full shape
-        x = _splitmix64(x ^ _splitmix64(np.asarray(arr, dtype=np.uint64)))
-    return (x >> _S11).astype(np.float64) * 2.0**-53
+    x = np.uint64(seed.seed)
+    indices = (seed.stream_id, *index_arrays)
+    with np.errstate(over="ignore"):
+        for k, arr in enumerate(indices):
+            # hash each index at its own shape; the chain broadcasts as it grows,
+            # so only the steps after the widest index run on the full shape.
+            # The xor returns a fresh value (or fills out), which _mix may overwrite.
+            h = _mix(np.asarray(arr, dtype=np.uint64) + _GOLDEN)
+            last = out is not None and k == len(indices) - 1
+            x = np.bitwise_xor(x, h, out=out.view(np.uint64) if last else None)
+            x += _GOLDEN
+            x = _mix(x)
+        x >>= _S11
+    if not isinstance(x, np.ndarray):
+        return np.float64(x) * 2.0**-53
+    # convert the chain's own array in place: a second full-shape array costs
+    # an allocation, and page faults each time the heap gives it back
+    return np.multiply(x, 2.0**-53, out=x.view(np.float64) if out is None else out)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -101,7 +101,8 @@ def accuracy(p: PredictionSet) -> AccuracyReport:
         pearson = math.nan
         errors = ("ConstantTarget",)
     else:
-        r2 = float(1.0 - np.sum((y - yhat) ** 2) / ss_tot)
+        with np.errstate(over="ignore"):  # a subnormal ss_tot gives R² = -inf
+            r2 = float(1.0 - np.sum((y - yhat) ** 2) / ss_tot)
         sd_yhat = float(np.std(yhat))
         if sd_yhat == 0.0:
             pearson = math.nan

@@ -134,13 +134,17 @@ def _hidden_masks_from_generator(m: MlpModel, n: int, rng: np.random.Generator) 
     return masks
 
 
-def _forward_cached(m: MlpModel, X: np.ndarray, masks: list[np.ndarray] | None):
-    """Return (layer inputs, hidden pre-activations, raw output)."""
+def _forward_cached(m: MlpModel, X: np.ndarray, masks: list[np.ndarray] | None, start: int = 0):
+    """Return (layer inputs, hidden pre-activations, raw output).
+
+    With ``start`` > 0, X is the (masked) input of layer ``start`` and the
+    returned lists cover only the layers from there on.
+    """
     act, _ = _ACTIVATIONS[m.config.activation]
     a = X
     layer_inputs = [X]
     pre_acts = []
-    for l in range(m.n_layers - 1):
+    for l in range(start, m.n_layers - 1):
         z = a @ m.weights[l] + m.biases[l]
         pre_acts.append(z)
         a = act(z)
@@ -159,14 +163,14 @@ def _backward(m: MlpModel, layer_inputs, pre_acts, masks, d_raw: np.ndarray):
     grads_b = [None] * m.n_layers
     delta = d_raw
     grads_w[-1] = layer_inputs[-1].T @ delta / n
-    grads_b[-1] = delta.mean(axis=0)
+    grads_b[-1] = delta.sum(axis=0) / n
     for l in range(m.n_layers - 2, -1, -1):
         delta = delta @ m.weights[l + 1].T
         if masks is not None:
             delta = delta * masks[l]
         delta = delta * act_deriv(pre_acts[l])
         grads_w[l] = layer_inputs[l].T @ delta / n
-        grads_b[l] = delta.mean(axis=0)
+        grads_b[l] = delta.sum(axis=0) / n
     return list(zip(grads_w, grads_b))
 
 
@@ -224,15 +228,16 @@ def _per_sample_loss_and_draw(m: MlpModel, raw: np.ndarray, y: np.ndarray, loss:
     raise DomainError(f"unknown loss {loss!r}")
 
 
-def _loss_and_grads(m, X, y, ids, loss, reg_weight, masks):
+def _loss_and_grads(m, X, y, sample_id, loss, reg_weight, masks):
+    """Batch-mean loss and gradients; ``sample_id(row)`` names a batch row
+    and is called only to report a non-finite loss."""
     layer_inputs, pre_acts, raw = _forward_cached(m, X, masks)
     with np.errstate(over="ignore", invalid="ignore"):  # guarded just below
         losses, d_raw = _per_sample_loss_and_draw(m, raw, y, loss, reg_weight)
     bad = ~np.isfinite(losses)
     if bad.any():
         i = int(np.argmax(bad))
-        sample = ids[i] if ids is not None else f"batch row {i}"
-        raise NonFiniteLossError(f"loss is {losses[i]} for sample {sample!r}")
+        raise NonFiniteLossError(f"loss is {losses[i]} for sample {sample_id(i)!r}")
     return float(losses.mean()), _backward(m, layer_inputs, pre_acts, masks, d_raw)
 
 
@@ -252,7 +257,21 @@ def loss_and_gradient(
     masks = None
     if dropout_seed is not None and m.config.dropout_rate > 0.0:
         masks = _hidden_masks_from_generator(m, batch.n, dropout_seed.generator())
-    return _loss_and_grads(m, batch.features, batch.targets, batch.ids, loss, reg_weight, masks)
+    return _loss_and_grads(m, batch.features, batch.targets, batch.ids.__getitem__, loss,
+                           reg_weight, masks)
+
+
+def _flatten_parameters(m: MlpModel) -> np.ndarray:
+    """Copy every weight and bias into one float64 buffer and make the
+    model's arrays views into it, so one ``isfinite`` call checks them all."""
+    arrays = [a for pair in zip(m.weights, m.biases) for a in pair]
+    flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    m.weights[:], m.biases[:] = views[0::2], views[1::2]
+    return flat
 
 
 def train(m: MlpModel, data: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel, list[float]]:
@@ -260,34 +279,46 @@ def train(m: MlpModel, data: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel
 
     Batch order is a fresh seeded shuffle each epoch; dropout masks (when the
     model has a nonzero rate) come from per-(epoch, step) derived streams.
-    Bit-reproducible for identical seeds.
+    Bit-reproducible for identical seeds. Afterwards the model's weights and
+    biases are views into one flat buffer.
     """
     if data.features.shape[1] != m.input_dim:
         raise ShapeMismatchError(f"data dim {data.features.shape[1]}, model expects {m.input_dim}")
+    params = _flatten_parameters(m)
     history: list[float] = []
     use_dropout = m.config.dropout_rate > 0.0
-    for epoch in range(cfg.epochs):
-        perm = cfg.seed.derive(_SHUFFLE_NS, epoch).generator().permutation(data.n)
-        lr = cfg.learning_rate / (1.0 + cfg.lr_decay * epoch)
-        epoch_loss = 0.0
-        for step, start in enumerate(range(0, data.n, cfg.batch_size)):
-            idx = perm[start : start + cfg.batch_size]
-            X, y = data.features[idx], data.targets[idx]
-            batch_ids = tuple(data.ids[i] for i in idx)
-            masks = None
-            if use_dropout:
-                rng = cfg.seed.derive(_MASK_NS, epoch, step).generator()
-                masks = _hidden_masks_from_generator(m, len(idx), rng)
-            loss, grads = _loss_and_grads(m, X, y, batch_ids, cfg.loss, cfg.reg_weight, masks)
-            for l, (gw, gb) in enumerate(grads):
-                m.weights[l] = m.weights[l] - lr * gw
-                m.biases[l] = m.biases[l] - lr * gb
-            for l in range(m.n_layers):
-                if not (np.all(np.isfinite(m.weights[l])) and np.all(np.isfinite(m.biases[l]))):
+
+    def sample_id(row: int) -> str:
+        # row of the batch that starts at `start` in this epoch's `perm`
+        return data.ids[perm[start + row]]
+
+    # an overflow or NaN either ends in the NonFiniteLossError or DivergenceError
+    # below, which say where, or rounds to the right value (exp(-z) in the
+    # softplus derivative); numpy's RuntimeWarning would only add stderr lines
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            perm = cfg.seed.derive(_SHUFFLE_NS, epoch).generator().permutation(data.n)
+            features, targets = data.features[perm], data.targets[perm]
+            mask_seed = cfg.seed.derive(_MASK_NS, epoch)
+            lr = cfg.learning_rate / (1.0 + cfg.lr_decay * epoch)
+            epoch_loss = 0.0
+            for step, start in enumerate(range(0, data.n, cfg.batch_size)):
+                X = features[start : start + cfg.batch_size]
+                y = targets[start : start + cfg.batch_size]
+                masks = None
+                if use_dropout:
+                    masks = _hidden_masks_from_generator(m, len(y), mask_seed.derive(step).generator())
+                loss, grads = _loss_and_grads(m, X, y, sample_id, cfg.loss, cfg.reg_weight, masks)
+                for w, b, (gw, gb) in zip(m.weights, m.biases, grads):
+                    w -= lr * gw
+                    b -= lr * gb
+                if not np.isfinite(params).all():
+                    l = next(l for l in range(m.n_layers)
+                             if not (np.isfinite(m.weights[l]).all() and np.isfinite(m.biases[l]).all()))
                     raise DivergenceError(
                         f"non-finite parameters in layer {l} at epoch {epoch}, step {step} "
                         f"(last batch loss {loss})"
                     )
-            epoch_loss += loss * len(idx)
-        history.append(epoch_loss / data.n)
+                epoch_loss += loss * len(y)
+            history.append(epoch_loss / data.n)
     return m, history

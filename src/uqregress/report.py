@@ -115,7 +115,10 @@ def _from_json(kind, value, where: str):
     elif value is None:
         return math.nan if kind is float else None
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ReportSchemaError(f"{where} is an integer too large for a float") from None
     else:
         want = "a number or null"
     raise ReportSchemaError(f"{where} must be {want}, got {type(value).__name__}")

@@ -124,18 +124,30 @@ def kfold_ensemble_predict(
     return ensemble_predict(train_kfold_members(train_data, spec), test)
 
 
-def _mc_forward(m: MlpModel, X: np.ndarray, rate: float, seed: RngSeed, sample: int) -> np.ndarray:
-    """One stochastic pass; each (point, unit) mask comes from a stateless
-    counter keyed by (point index, sample index, layer, unit), so results do
-    not depend on evaluation order or batching."""
-    keep = 1.0 - rate
-    point_ix = np.arange(X.shape[0], dtype=np.uint64)[:, None]
-    masks = []
-    for l, width in enumerate(m.config.layer_widths[1:-1]):
-        unit_ix = np.arange(width, dtype=np.uint64)[None, :]
-        u = counter_uniform(seed, point_ix, np.uint64(sample), np.uint64(l), unit_ix)
-        masks.append((u >= rate).astype(np.float64) / keep)
-    return _forward_cached(m, X, masks)[2][:, 0]
+def _mc_forward(m: MlpModel, hidden0: np.ndarray, rate: float, seed: RngSeed, sample: int,
+                work: np.ndarray) -> np.ndarray:
+    """One stochastic pass from the first hidden activation, which no mask
+    precedes. Each (point, unit) mask comes from a stateless counter keyed by
+    (point index, sample index, layer, unit), so results do not depend on
+    evaluation order or batching; one counter call covers every hidden layer.
+
+    ``work`` is a (layers, points, widest layer) float64 buffer that every
+    pass reuses for its masks: fresh full-shape arrays each pass cost more
+    in page faults than in arithmetic.
+    """
+    layers, points, width = work.shape
+    u = counter_uniform(
+        seed,
+        np.arange(points, dtype=np.uint64)[:, None],
+        np.uint64(sample),
+        np.arange(layers, dtype=np.uint64)[:, None, None],
+        np.arange(width, dtype=np.uint64),
+        out=work,
+    )
+    np.multiply(u >= rate, 1.0 / (1.0 - rate), out=work)
+    masks = [work[l, :, :w] for l, w in enumerate(m.config.layer_widths[1:-1])]
+    # layer 0's mask is used once, so its slot takes the masked activation
+    return _forward_cached(m, np.multiply(hidden0, masks[0], out=masks[0]), masks, start=1)[2][:, 0]
 
 
 def mc_dropout_predict(m: MlpModel, test: LabeledDataset, spec: DropoutSpec) -> PredictionSet:
@@ -149,10 +161,13 @@ def mc_dropout_predict(m: MlpModel, test: LabeledDataset, spec: DropoutSpec) -> 
     if spec.rate == 0.0:
         mu = predict(m, test.features)[:, 0]
         return PredictionSet(test.ids, test.targets, mu, np.zeros(test.n), test.groups)
+    hidden0 = _forward_cached(m, test.features, None)[0][1]  # the same in every pass
+    hidden = m.config.layer_widths[1:-1]
+    work = np.empty((len(hidden), test.n, max(hidden)))
     total = np.zeros(test.n)
     total_sq = np.zeros(test.n)
     for s in range(spec.samples):
-        out = _mc_forward(m, test.features, spec.rate, spec.seed, s)
+        out = _mc_forward(m, hidden0, spec.rate, spec.seed, s, work)
         total += out
         total_sq += out * out
     mu = total / spec.samples

@@ -33,7 +33,12 @@ def _is_number(x) -> bool:
 def _denum(x, where: str) -> float:
     if x is not None and not _is_number(x):
         raise _wrong(where, "a number or null", x)
-    return math.nan if x is None else float(x)
+    if x is None:
+        return math.nan
+    try:
+        return float(x)
+    except OverflowError:
+        raise ReportSchemaError(f"{where} is an integer too large for a float") from None
 
 
 def _int(x, where: str) -> int:

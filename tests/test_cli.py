@@ -413,24 +413,47 @@ class TestIllTypedConfig:
 
 class TestUnwritableInputs:
     @pytest.mark.parametrize("command, flags", [("screen", ["--hi", "inf"]),
-                                                ("evaluate", ["--honesty-multiplier", "inf"])])
+                                                ("evaluate", ["--honesty-multiplier", "inf"]),
+                                                ("screen", ["--sigma-max", "nan"])])
     def test_non_finite_flag_is_one_error_line(self, workspace, tmp_path, capsys, command, flags):
-        # strict JSON cannot hold inf: the output (screen) or its manifest
-        # (evaluate) fails to write, and no output is left behind
+        # no command can use NaN or inf, and strict JSON cannot record it:
+        # the flag is named before any work, and nothing is written
         out = tmp_path / "out.json"
         assert run(command, "--pred", workspace["preds"]["ensemble"], "--out", out, *flags) == 1
-        _one_error_line(capsys, str(out), "inf")
+        _one_error_line(capsys, f"{flags[0]} must be a finite number, got {flags[1]}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_config_value_names_the_flag(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"honesty_multiplier": Infinity}')  # Python's json reads it
+        assert run("evaluate", "--config", cfg, "--pred", workspace["preds"]["ensemble"],
+                   "--out", tmp_path / "r.json") == 1
+        _one_error_line(capsys, "--honesty-multiplier must be a finite number, got inf")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_divergent_training_is_one_error_line(self, workspace, tmp_path, capsys):
+        # the overflow is reported once, by the divergence error, not also
+        # by a numpy RuntimeWarning on stderr
+        out = tmp_path / "m.json"
+        assert run("train", "--method", "dropout", "--train", workspace["data"] / "train.csv",
+                   "--out", out, "--hidden", 4, "--epochs", 3, "--learning-rate", 1e308) == 1
+        _one_error_line(capsys, "non-finite parameters in layer 0 at epoch 0, step 0")
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_rerun_removes_outputs_and_their_old_manifests(self, workspace, tmp_path,
-                                                                   capsys):
+                                                                   capsys, monkeypatch):
         # the first run leaves manifests beside the outputs; the failed rerun
-        # rewrites the outputs, then fails on its first manifest
+        # rewrites the outputs, then fails on its first manifest (a full disk)
         out = tmp_path / "r.json"
         assert run("evaluate", "--pred", workspace["preds"]["ensemble"], "--out", out) == 0
+
+        def disk_full(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(io, "write_manifest", disk_full)
         assert run("evaluate", "--pred", workspace["preds"]["ensemble"], "--out", out,
-                   "--grid-size", 9, "--honesty-multiplier", "inf") == 1
-        _one_error_line(capsys, "inf")
+                   "--grid-size", 9) == 1
+        _one_error_line(capsys, "No space left on device")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command, body", [("screen", b"id,y_true,y_pred,sigma\n\xff,1,1,1\n"),

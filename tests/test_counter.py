@@ -78,6 +78,9 @@ class TestCounterUniform:
             got = counter_uniform(seed, *args)
             assert got.shape == (300, 32)
             assert np.array_equal(got, ref.counter_uniform(seed, *args))
+            buf = np.full((300, 32), np.nan)
+            assert counter_uniform(seed, *args, out=buf) is buf
+            assert np.array_equal(buf, got)
 
 
 class TestMcDropoutAgainstReference:
@@ -90,6 +93,22 @@ class TestMcDropoutAgainstReference:
         m = MlpModel.initialize(MlpConfig((3, 16, 8, 1), activation=activation,
                                           dropout_rate=rate, seed=RngSeed(18)))
         spec = DropoutSpec(samples=25, rate=rate, seed=RngSeed(19, 3))
+        p = mc_dropout_predict(m, test, spec)
+        mu, sigma = ref.mc_dropout_reference(m, X, rate, spec.seed, spec.samples)
+        assert np.array_equal(p.mu, mu)
+        assert np.array_equal(p.sigma, sigma)
+
+    @pytest.mark.parametrize("activation", sorted(_ACTIVATIONS))
+    @pytest.mark.parametrize("rate", [0.01, 0.3])
+    @pytest.mark.parametrize("widths", [(3, 16, 48, 8, 1), (3, 7, 1)])
+    def test_unequal_and_single_hidden_widths(self, widths, rate, activation):
+        # one counter call covers every layer at the widest width; each
+        # narrower layer must still see exactly its own units' uniforms
+        X = np.random.default_rng(20).normal(size=(30, 3))
+        test = dataset_from(X, np.zeros(30))
+        m = MlpModel.initialize(MlpConfig(widths, activation=activation,
+                                          dropout_rate=rate, seed=RngSeed(21)))
+        spec = DropoutSpec(samples=20, rate=rate, seed=RngSeed(22, 5))
         p = mc_dropout_predict(m, test, spec)
         mu, sigma = ref.mc_dropout_reference(m, X, rate, spec.seed, spec.samples)
         assert np.array_equal(p.mu, mu)

@@ -56,6 +56,11 @@ class TestAccuracy:
         with pytest.raises(DomainError):
             accuracy(make_pset([1.0], [1.0], [0.1]))
 
+    def test_subnormal_target_spread_gives_minus_inf_r2_without_warning(self):
+        # ss_tot is subnormal, so SSE / ss_tot overflows; the report writes null
+        rep = accuracy(make_pset([1e-160, 0.0, 0.0], [1e10, 0.0, 0.0], [1.0, 1.0, 2.0]))
+        assert rep.r2 == -math.inf
+
     @given(st.lists(st.tuples(finite_floats, finite_floats), min_size=2, max_size=60))
     @settings(max_examples=200, deadline=None)
     def test_marpd_bounded(self, pairs):

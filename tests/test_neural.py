@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import train_reference as ref
 from uqregress.core import LabeledDataset, RngSeed
+from uqregress.datagen import generate_synthetic
 from uqregress.errors import (
     DivergenceError,
     DomainError,
@@ -283,3 +285,48 @@ class TestTrain:
     def test_lr_decay_validation(self):
         with pytest.raises(DomainError):
             TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, lr_decay=-0.1)
+
+
+TRAIN_RECIPES = {
+    "plain": (MlpConfig((3, 16, 8, 1), activation="relu", seed=RngSeed(31)),
+              TrainConfig(epochs=4, batch_size=32, learning_rate=0.02, lr_decay=0.1,
+                          seed=RngSeed(32))),
+    "dropout": (MlpConfig((3, 16, 8, 1), dropout_rate=0.2, seed=RngSeed(31)),
+                TrainConfig(epochs=4, batch_size=32, learning_rate=0.02, seed=RngSeed(32))),
+    "evidential": (MlpConfig((3, 16, 8, 4), activation="softplus", seed=RngSeed(31)),
+                   TrainConfig(epochs=4, batch_size=32, learning_rate=0.01, loss="evidential",
+                               reg_weight=0.05, seed=RngSeed(32))),
+}
+
+
+class TestTrainAgainstReference:
+    """``train`` against the SGD loop it replaced (tests/train_reference.py)."""
+
+    @pytest.mark.parametrize("recipe", sorted(TRAIN_RECIPES))
+    def test_weights_and_history_bit_identical(self, recipe):
+        data = generate_synthetic(210, 3, RngSeed(33)).dataset  # a ragged last batch
+        mlp, cfg = TRAIN_RECIPES[recipe]
+        got, want = MlpModel.initialize(mlp), MlpModel.initialize(mlp)
+        _, history = train(got, data, cfg)
+        _, ref_history = ref.train(want, data, cfg)
+        assert history == ref_history
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("widths, activation, learning_rate, error, needle", [
+        ((2, 3, 1), "relu", 30.0, NonFiniteLossError, "loss is inf for sample 'r000082'"),
+        # the step overflows layer 1 while layer 0 stays finite
+        ((2, 4, 1), "tanh", 1e308, DivergenceError, "in layer 1 at epoch 0, step 0"),
+    ])
+    def test_divergence_raises_the_same_error(self, widths, activation, learning_rate, error,
+                                              needle):
+        data = generate_synthetic(100, 2, RngSeed(1)).dataset
+        cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=learning_rate, seed=RngSeed(4))
+        m = MlpModel.initialize(MlpConfig(widths, activation=activation, seed=RngSeed(3)))
+        with pytest.raises(error) as got:  # and no RuntimeWarning on the way
+            train(m, data, cfg)
+        m = MlpModel.initialize(MlpConfig(widths, activation=activation, seed=RngSeed(3)))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error) as want:
+            ref.train(m, data, cfg)
+        assert str(got.value) == str(want.value)
+        assert needle in str(got.value)

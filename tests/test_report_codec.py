@@ -120,11 +120,17 @@ WRONG_TYPES = [
     (("dispersion", "outlier_count"), True, "report.dispersion.outlier_count must be an integer"),
     (("sharpness",), "0.1", "report.sharpness must be a number or null, got str"),
     (("accuracy", "mae"), False, "report.accuracy.mae must be a number or null, got bool"),
+    (("sharpness",), 10**400, "report.sharpness is an integer too large for a float"),
 ]
 
 
+def _case_id(path, value):
+    text = repr(value)
+    return f"{'.'.join(path)}={text if len(text) <= 20 else f'<{len(text)}-digit int>'}"
+
+
 @pytest.mark.parametrize("path, value, needle", WRONG_TYPES,
-                         ids=[f"{'.'.join(p)}={v!r}" for p, v, _ in WRONG_TYPES])
+                         ids=[_case_id(p, v) for p, v, _ in WRONG_TYPES])
 def test_wrong_value_type_names_the_field(path, value, needle):
     r, _ = report.evaluate(gaussian_null(50, 1))
     d = report.report_to_dict(r)
