@@ -33,7 +33,7 @@ from .metrics import (
     grouped_metrics,
     sharpness,
 )
-from .neural import MlpConfig, MlpModel, TrainConfig, forward, loss_and_gradient, predict, train
+from .neural import MlpConfig, MlpModel, TrainConfig, loss_and_gradient, predict, train
 from .numerics import (
     BrentResult,
     brent_minimize,
@@ -86,7 +86,6 @@ __all__ = [
     "evaluate",
     "evidential_predict",
     "fit_scalar",
-    "forward",
     "generate_synthetic",
     "grouped_metrics",
     "honesty_rate",

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import io
 from .calibration import DEFAULT_GRID_SIZE, adversarial_group_calibration, calibration_curve
-from .core import RngSeed
+from .core import RngSeed, validate_prediction_set
 from .datagen import generate_synthetic
 from .errors import DegenerateSampleError, DomainError, FileParseError, UqError
 from .metrics import distribution_summary
@@ -142,7 +142,8 @@ def cmd_predict(args, written: list[str]) -> None:
     else:
         pred = evidential_predict(checkpoint, test, uncertainty=args.uncertainty,
                                   apply_sqrt=args.sqrt_uncertainty)
-    io.write_predictions_csv(args.out, pred)
+    # a checkpoint's weights may overflow: name the first non-finite output
+    io.write_predictions_csv(args.out, validate_prediction_set(pred))
     written.append(str(args.out))
 
 
@@ -253,8 +254,14 @@ def cmd_screen(args, written: list[str]) -> None:
     written.append(str(args.out))
 
 
+class _Parser(argparse.ArgumentParser):
+    # a bad command line is an error like any other: one line, exit 1
+    def error(self, message):
+        raise DomainError(message)
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uqregress",
         description="Uncertainty quantification pipeline for regression predictions.",
     )
@@ -376,7 +383,8 @@ def _config_value(action: argparse.Action, value, path: str, key: str):
     else:
         parse = action.type or str
         try:
-            ok = not isinstance(value, bool) and parse(value) == value
+            # no command line can hold a NUL character
+            ok = not isinstance(value, bool) and parse(value) == value and "\0" not in str(value)
         except (TypeError, ValueError, OverflowError):
             ok = False
         ok = ok and (action.choices is None or value in action.choices)
@@ -441,7 +449,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _check_finite_floats(args, sub.choices[args.command])
         started = time.time()
-        args.func(args, written)
+        # an overflow ends in an error that names the value, or in a null in
+        # a report; numpy's RuntimeWarnings would only add stderr lines
+        with np.errstate(all="ignore"):
+            args.func(args, written)
         config = _resolved_config(args)
         inputs = [str(getattr(args, k)) for k in ("train", "test", "pred", "model")
                   if getattr(args, k, None)]

@@ -71,7 +71,7 @@ class WrongHeadWidthError(UqError):
 
 
 class NonFiniteLossError(UqError):
-    """A per-sample loss evaluated to NaN/Inf; message carries the sample id."""
+    """A network output or per-sample loss is NaN/Inf; message carries the sample id."""
 
 
 class DivergenceError(UqError):

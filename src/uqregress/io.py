@@ -65,6 +65,8 @@ def _replacing(path):
     On any exception the temp file is removed and ``path`` is left untouched.
     """
     path = Path(path)
+    if path.name in ("", ".", ".."):  # has no sibling temp file name
+        raise IsADirectoryError(f"{str(path)!r} names a directory, not a file")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -466,6 +468,8 @@ def write_manifest(output_path, command: str, config: dict, inputs: list[str],
 
 def read_manifest(path) -> dict:
     d = _read_json(Path(path))
+    if not isinstance(d, dict):
+        raise ReportSchemaError(f"{path}: manifest must be a JSON object, got {type(d).__name__}")
     if d.get("format") != MANIFEST_FORMAT:
         raise ReportSchemaError(f"{path}: unsupported manifest format {d.get('format')!r}")
     return d

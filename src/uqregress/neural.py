@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evidential as ev
-from .core import LabeledDataset, RngSeed
+from .core import LabeledDataset, RngSeed, counter_uniform
 from .errors import (
     DivergenceError,
     DomainError,
@@ -125,13 +125,21 @@ class MlpModel:
         return self.config.layer_widths[0]
 
 
-def _hidden_masks_from_generator(m: MlpModel, n: int, rng: np.random.Generator) -> list[np.ndarray]:
-    rate = m.config.dropout_rate
-    keep = 1.0 - rate
-    masks = []
-    for w in m.config.layer_widths[1:-1]:
-        masks.append((rng.random((n, w)) >= rate).astype(np.float64) / keep)
-    return masks
+def _mask_index(m: MlpModel, points: int, sample: int) -> tuple[np.ndarray, ...]:
+    """Counter coordinates (point, sample, layer, unit) of one pass's dropout
+    masks; they broadcast to (hidden layers, points, widest hidden layer)."""
+    hidden = m.config.layer_widths[1:-1]
+    return (np.arange(points, dtype=np.uint64)[:, None], np.uint64(sample),
+            np.arange(len(hidden), dtype=np.uint64)[:, None, None],
+            np.arange(max(hidden), dtype=np.uint64))
+
+
+def _hidden_masks(m: MlpModel, u: np.ndarray, rate: float) -> list[np.ndarray]:
+    """Inverted-dropout masks of every hidden layer, written over the
+    uniforms ``u`` drawn at :func:`_mask_index`: a unit is kept when its
+    uniform is >= rate and then scaled by 1/(1-rate)."""
+    np.multiply(u >= rate, 1.0 / (1.0 - rate), out=u)
+    return [u[l, :, :w] for l, w in enumerate(m.config.layer_widths[1:-1])]
 
 
 def _forward_cached(m: MlpModel, X: np.ndarray, masks: list[np.ndarray] | None, start: int = 0):
@@ -174,30 +182,6 @@ def _backward(m: MlpModel, layer_inputs, pre_acts, masks, d_raw: np.ndarray):
     return list(zip(grads_w, grads_b))
 
 
-def forward(
-    m: MlpModel,
-    x: np.ndarray,
-    dropout_active: bool = False,
-    seed: RngSeed | None = None,
-) -> np.ndarray:
-    """One forward pass for a single feature vector.
-
-    With ``dropout_active`` each hidden unit is zeroed independently with
-    probability dropout_rate and survivors are scaled by 1/(1-rate); the mask
-    is drawn from ``seed`` and therefore identical on repeated calls.
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape[0] != m.input_dim:
-        raise ShapeMismatchError(f"input width {x.shape[0]}, expected {m.input_dim}")
-    masks = None
-    if dropout_active and m.config.dropout_rate > 0.0:
-        if seed is None:
-            raise DomainError("dropout_active with rate > 0 requires a seed")
-        masks = _hidden_masks_from_generator(m, 1, seed.generator())
-    _, _, raw = _forward_cached(m, x[None, :], masks)
-    return raw[0]
-
-
 def predict(m: MlpModel, features: np.ndarray) -> np.ndarray:
     """Deterministic batch forward (dropout off). Returns (n, out_width)."""
     X = np.asarray(features, dtype=np.float64)
@@ -232,6 +216,9 @@ def _loss_and_grads(m, X, y, sample_id, loss, reg_weight, masks):
     """Batch-mean loss and gradients; ``sample_id(row)`` names a batch row
     and is called only to report a non-finite loss."""
     layer_inputs, pre_acts, raw = _forward_cached(m, X, masks)
+    if not np.isfinite(raw).all():  # the evidential head's domain checks would not name the sample
+        i = int(np.argmax(~np.isfinite(raw).all(axis=1)))
+        raise NonFiniteLossError(f"network output is {raw[i].tolist()} for sample {sample_id(i)!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # guarded just below
         losses, d_raw = _per_sample_loss_and_draw(m, raw, y, loss, reg_weight)
     bad = ~np.isfinite(losses)
@@ -252,11 +239,13 @@ def loss_and_gradient(
 
     Gradients come back as one (dW, db) pair per layer, matching the batch
     mean exactly (finite-difference checkable). Dropout masks, if requested,
-    are fixed by ``dropout_seed`` so the loss stays deterministic.
+    are fixed by ``dropout_seed`` (sample 0, one point per batch row) so the
+    loss stays deterministic.
     """
     masks = None
-    if dropout_seed is not None and m.config.dropout_rate > 0.0:
-        masks = _hidden_masks_from_generator(m, batch.n, dropout_seed.generator())
+    rate = m.config.dropout_rate
+    if dropout_seed is not None and rate > 0.0:
+        masks = _hidden_masks(m, counter_uniform(dropout_seed, *_mask_index(m, batch.n, 0)), rate)
     return _loss_and_grads(m, batch.features, batch.targets, batch.ids.__getitem__, loss,
                            reg_weight, masks)
 
@@ -278,7 +267,8 @@ def train(m: MlpModel, data: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel
     """Mini-batch SGD, in place. Returns the model and per-epoch mean loss.
 
     Batch order is a fresh seeded shuffle each epoch; dropout masks (when the
-    model has a nonzero rate) come from per-(epoch, step) derived streams.
+    model has a nonzero rate) come from the counter under a per-epoch seed,
+    keyed by (batch row, step, layer, unit).
     Bit-reproducible for identical seeds. Afterwards the model's weights and
     biases are views into one flat buffer.
     """
@@ -286,7 +276,7 @@ def train(m: MlpModel, data: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel
         raise ShapeMismatchError(f"data dim {data.features.shape[1]}, model expects {m.input_dim}")
     params = _flatten_parameters(m)
     history: list[float] = []
-    use_dropout = m.config.dropout_rate > 0.0
+    rate = m.config.dropout_rate
 
     def sample_id(row: int) -> str:
         # row of the batch that starts at `start` in this epoch's `perm`
@@ -306,8 +296,9 @@ def train(m: MlpModel, data: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel
                 X = features[start : start + cfg.batch_size]
                 y = targets[start : start + cfg.batch_size]
                 masks = None
-                if use_dropout:
-                    masks = _hidden_masks_from_generator(m, len(y), mask_seed.derive(step).generator())
+                if rate > 0.0:
+                    masks = _hidden_masks(m, counter_uniform(mask_seed, *_mask_index(m, len(y), step)),
+                                          rate)
                 loss, grads = _loss_and_grads(m, X, y, sample_id, cfg.loss, cfg.reg_weight, masks)
                 for w, b, (gw, gb) in zip(m.weights, m.biases, grads):
                     w -= lr * gw

@@ -16,7 +16,8 @@ import numpy as np
 from . import evidential as ev
 from .core import LabeledDataset, PredictionSet, RngSeed, counter_uniform, split_k_folds
 from .errors import DomainError, FoldTooSmallError, WrongHeadWidthError
-from .neural import MlpConfig, MlpModel, TrainConfig, _forward_cached, predict, train
+from .neural import (MlpConfig, MlpModel, TrainConfig, _forward_cached, _hidden_masks, _mask_index,
+                     predict, train)
 
 MEMBER_TRAINING_MODES = ("one_fold_each", "leave_one_fold_out")
 
@@ -127,25 +128,16 @@ def kfold_ensemble_predict(
 def _mc_forward(m: MlpModel, hidden0: np.ndarray, rate: float, seed: RngSeed, sample: int,
                 work: np.ndarray) -> np.ndarray:
     """One stochastic pass from the first hidden activation, which no mask
-    precedes. Each (point, unit) mask comes from a stateless counter keyed by
-    (point index, sample index, layer, unit), so results do not depend on
+    precedes. The masks are training's (:func:`neural._hidden_masks`), keyed
+    by (point index, sample index, layer, unit), so results do not depend on
     evaluation order or batching; one counter call covers every hidden layer.
 
     ``work`` is a (layers, points, widest layer) float64 buffer that every
     pass reuses for its masks: fresh full-shape arrays each pass cost more
     in page faults than in arithmetic.
     """
-    layers, points, width = work.shape
-    u = counter_uniform(
-        seed,
-        np.arange(points, dtype=np.uint64)[:, None],
-        np.uint64(sample),
-        np.arange(layers, dtype=np.uint64)[:, None, None],
-        np.arange(width, dtype=np.uint64),
-        out=work,
-    )
-    np.multiply(u >= rate, 1.0 / (1.0 - rate), out=work)
-    masks = [work[l, :, :w] for l, w in enumerate(m.config.layer_widths[1:-1])]
+    u = counter_uniform(seed, *_mask_index(m, work.shape[1], sample), out=work)
+    masks = _hidden_masks(m, u, rate)
     # layer 0's mask is used once, so its slot takes the masked activation
     return _forward_cached(m, np.multiply(hidden0, masks[0], out=masks[0]), masks, start=1)[2][:, 0]
 

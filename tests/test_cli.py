@@ -369,6 +369,7 @@ class TestIllTypedConfig:
         ("predict", "sqrt-uncertainty", 1),
         ("predict", "samples", None),
         ("screen", "sigma_max", {"v": 1}),
+        ("screen", "out", "a\x00b"),  # no command line holds a NUL
     ])
     def test_one_error_line_naming_key(self, workspace, tmp_path, capsys, command, key, value):
         cfg = tmp_path / "cfg.json"
@@ -438,6 +439,52 @@ class TestUnwritableInputs:
         assert run("train", "--method", "dropout", "--train", workspace["data"] / "train.csv",
                    "--out", out, "--hidden", 4, "--epochs", 3, "--learning-rate", 1e308) == 1
         _one_error_line(capsys, "non-finite parameters in layer 0 at epoch 0, step 0")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("learning_rate, needles", [
+        (1e30, ["loss is inf for sample 'r000089'"]),
+        (1e308, ["network output is [", ", inf, -inf] for sample 'r000162'"]),
+    ])
+    def test_divergent_evidential_training_names_the_sample(self, workspace, tmp_path, capsys,
+                                                            learning_rate, needles):
+        # a non-finite head output is named with its sample, before the
+        # evidential head's log_gamma domain check can reject it unnamed
+        out = tmp_path / "m.json"
+        assert run("train", "--method", "evidential", "--train", workspace["data"] / "train.csv",
+                   "--out", out, "--seed", 4, *FAST_TRAIN, "--epochs", 5,
+                   "--learning-rate", learning_rate) == 1
+        _one_error_line(capsys, *needles)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_checkpoint_names_the_sample(self, workspace, tmp_path, capsys):
+        # the outputs overflow to inf and their spread to NaN: predict must not
+        # write them (nor print numpy's RuntimeWarnings)
+        d = json.loads(workspace["models"]["dropout"].read_text())
+        d["biases"][-1][0] = 1e308
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(d))
+        assert run("predict", "--method", "dropout", "--model", model, "--samples", 3,
+                   "--test", workspace["data"] / "test.csv", "--out", tmp_path / "p.csv") == 1
+        _one_error_line(capsys, "non-finite mu at index 0 (id='r000000')")
+        assert list(tmp_path.iterdir()) == [model]
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["screen", "--hi", "abc"], "argument --hi: invalid float value: 'abc'"),
+        (["screen", "--lo"], "argument --lo: expected one argument"),
+        (["screen", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["bogus"], "invalid choice: 'bogus'"),
+    ])
+    def test_usage_error_is_one_error_line(self, workspace, tmp_path, capsys, argv, needle):
+        assert run(*argv, "--pred", workspace["preds"]["ensemble"], "--out",
+                   tmp_path / "s.json") == 1
+        _one_error_line(capsys, needle)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["", ".", ".."])
+    def test_output_path_naming_a_directory(self, workspace, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        assert run("screen", "--pred", workspace["preds"]["ensemble"], "--out", out) == 1
+        _one_error_line(capsys, "names a directory, not a file")
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_rerun_removes_outputs_and_their_old_manifests(self, workspace, tmp_path,

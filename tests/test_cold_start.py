@@ -11,9 +11,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import uqregress
 from uqregress import evidential, numerics
+from uqregress.cli import main
 
 SRC = str(Path(uqregress.__file__).resolve().parent.parent)
 
@@ -33,15 +35,50 @@ def test_importing_the_cli_loads_no_scipy():
     assert run_fresh(f"import json, sys\nimport uqregress.cli\nprint(json.dumps({SCIPY_KEYS}))") == []
 
 
-def test_generate_loads_no_scipy(tmp_path):
+TINY_TRAIN = ["--hidden", "4", "--epochs", "1", "--k", "2"]
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """A tiny dataset, an ensemble and a dropout checkpoint, and a prediction CSV."""
+    root = tmp_path_factory.mktemp("cold")
+    assert main(["generate", "--out", str(root), "--n-train", "30", "--n-test", "10"]) == 0
+    for method in ("ensemble", "dropout"):
+        assert main(["train", "--method", method, "--train", str(root / "train.csv"),
+                     "--out", str(root / f"{method}.json"), *TINY_TRAIN]) == 0
+    assert main(["predict", "--method", "dropout", "--model", str(root / "dropout.json"),
+                 "--test", str(root / "test.csv"), "--out", str(root / "pred.csv"),
+                 "--samples", "3"]) == 0
+    return root
+
+
+# the commands README says load no scipy; {root} is the tiny fixture's directory
+NO_SCIPY = {
+    "generate": ["generate", "--out", "{out}", "--n-train", "20", "--n-test", "10"],
+    "train-ensemble": ["train", "--method", "ensemble", "--train", "{root}/train.csv",
+                       "--out", "{out}", *TINY_TRAIN],
+    "train-dropout": ["train", "--method", "dropout", "--train", "{root}/train.csv",
+                      "--out", "{out}", *TINY_TRAIN],
+    "predict-ensemble": ["predict", "--method", "ensemble", "--model", "{root}/ensemble.json",
+                         "--test", "{root}/test.csv", "--out", "{out}"],
+    "predict-dropout": ["predict", "--method", "dropout", "--model", "{root}/dropout.json",
+                        "--test", "{root}/test.csv", "--out", "{out}", "--samples", "3"],
+    "screen": ["screen", "--pred", "{root}/pred.csv", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NO_SCIPY))
+def test_command_loads_no_scipy(tiny, tmp_path, command):
+    out = tmp_path / "out"
+    argv = [a.format(root=tiny, out=out) for a in NO_SCIPY[command]]
     code = (
         "import json, sys\n"
         "from uqregress.cli import main\n"
-        f"rc = main(['generate', '--out', {str(tmp_path)!r}, '--n-train', '20', '--n-test', '10'])\n"
+        f"rc = main({argv!r})\n"
         f"print(json.dumps([rc, {SCIPY_KEYS}]))"
     )
     assert run_fresh(code) == [0, []]
-    assert (tmp_path / "test.csv").exists()
+    assert out.exists()
 
 
 # (module, function, call) for every function that imports scipy on first use

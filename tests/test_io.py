@@ -127,6 +127,13 @@ class TestManifests:
         with pytest.raises(ReportSchemaError):
             io.read_manifest(path)
 
+    @pytest.mark.parametrize("body", ["[1, 2]\n", "7\n", "null\n"])
+    def test_non_object_rejected_naming_the_file(self, tmp_path, body):
+        path = tmp_path / "m.json"
+        path.write_text(body)
+        with pytest.raises(ReportSchemaError, match=f"{path}: manifest must be a JSON object"):
+            io.read_manifest(path)
+
 
 class TestFloatFormat:
     @staticmethod

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import train_reference as ref
-from uqregress.core import LabeledDataset, RngSeed
+from uqregress.core import LabeledDataset, RngSeed, counter_uniform
 from uqregress.datagen import generate_synthetic
 from uqregress.errors import (
     DivergenceError,
@@ -19,8 +19,8 @@ from uqregress.neural import (
     MlpModel,
     TrainConfig,
     _forward_cached,
-    _hidden_masks_from_generator,
-    forward,
+    _hidden_masks,
+    _mask_index,
     loss_and_gradient,
     predict,
     train,
@@ -102,38 +102,39 @@ def pinned_head_model(gamma, nu, alpha, beta, input_dim=1):
 
 
 class TestForward:
+    """The batch forward pass: ``predict``, and ``loss_and_gradient`` under dropout."""
+
     def test_zero_network_outputs_zero(self):
         m = MlpModel.initialize(MlpConfig((3, 5, 1), seed=RngSeed(1)))
         for l in range(m.n_layers):
             m.weights[l] = np.zeros_like(m.weights[l])
             m.biases[l] = np.zeros_like(m.biases[l])
-        assert forward(m, [1.0, -2.0, 3.0])[0] == 0.0
+        assert predict(m, np.array([[1.0, -2.0, 3.0]]))[0, 0] == 0.0
 
     def test_zero_rate_dropout_is_noop(self):
         m = MlpModel.initialize(MlpConfig((2, 6, 1), dropout_rate=0.0, seed=RngSeed(2)))
-        x = [0.5, -0.25]
-        np.testing.assert_array_equal(
-            forward(m, x, dropout_active=True, seed=RngSeed(3)), forward(m, x)
-        )
+        batch = random_batch((2, 6, 1), 5, seed=3)
+        loss, grads = loss_and_gradient(m, batch, dropout_seed=RngSeed(3))
+        want_loss, want_grads = loss_and_gradient(m, batch)
+        assert loss == want_loss
+        assert all(np.array_equal(a, b) for g, h in zip(grads, want_grads) for a, b in zip(g, h))
 
     def test_fixed_seed_gives_identical_mask(self):
-        m = MlpModel.initialize(MlpConfig((2, 8, 1), dropout_rate=0.5, seed=RngSeed(4)))
-        x = [1.0, 1.0]
-        a = forward(m, x, dropout_active=True, seed=RngSeed(5))
-        b = forward(m, x, dropout_active=True, seed=RngSeed(5))
-        np.testing.assert_array_equal(a, b)
-        c = forward(m, x, dropout_active=True, seed=RngSeed(6))
-        assert not np.array_equal(a, c)
+        m = MlpModel.initialize(MlpConfig((2, 8, 8, 1), dropout_rate=0.5, seed=RngSeed(4)))
+        batch = random_batch((2, 8, 8, 1), 6, seed=5)
+        a, grads_a = loss_and_gradient(m, batch, dropout_seed=RngSeed(5))
+        b, grads_b = loss_and_gradient(m, batch, dropout_seed=RngSeed(5))
+        assert a == b
+        assert all(np.array_equal(x, y) for g, h in zip(grads_a, grads_b) for x, y in zip(g, h))
+        c, _ = loss_and_gradient(m, batch, dropout_seed=RngSeed(6))
+        assert a != c
+        assert a != loss_and_gradient(m, batch)[0]
 
     def test_shape_mismatch(self):
         m = MlpModel.initialize(MlpConfig((3, 4, 1), seed=RngSeed(7)))
-        with pytest.raises(ShapeMismatchError):
-            forward(m, [1.0, 2.0])
-
-    def test_dropout_requires_seed(self):
-        m = MlpModel.initialize(MlpConfig((2, 4, 1), dropout_rate=0.1, seed=RngSeed(8)))
-        with pytest.raises(DomainError):
-            forward(m, [0.0, 0.0], dropout_active=True)
+        for features in ([[1.0, 2.0]], [1.0, 2.0, 3.0]):
+            with pytest.raises(ShapeMismatchError):
+                predict(m, np.array(features))
 
 
 class TestConfigValidation:
@@ -215,6 +216,15 @@ class TestLossAndGradient:
         with pytest.raises(NonFiniteLossError, match="'0'"):
             loss_and_gradient(m, batch)
 
+    def test_non_finite_evidential_head_names_sample(self):
+        # an infinite alpha would otherwise fail log_gamma's domain check unnamed
+        m = pinned_head_model(0.0, 1.0, 2.0, 1.0)
+        m.biases[-1][2] = np.inf
+        batch = dataset_from(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
+        needle = r"network output is \[0.0, .*, inf, .*\] for sample '0'"
+        with pytest.raises(NonFiniteLossError, match=needle):
+            loss_and_gradient(m, batch, loss="evidential")
+
 
 class TestDropoutExpectation:
     def test_inverted_dropout_is_unbiased_in_linear_regime(self):
@@ -229,7 +239,7 @@ class TestDropoutExpectation:
         expected = predict(m, x[None, :])[0, 0]
         n_masks = 100_000
         X = np.tile(x, (n_masks, 1))
-        masks = _hidden_masks_from_generator(m, n_masks, RngSeed(17).generator())
+        masks = _hidden_masks(m, counter_uniform(RngSeed(17), *_mask_index(m, n_masks, 0)), 0.3)
         _, _, raw = _forward_cached(m, X, masks)
         assert abs(raw[:, 0].mean() - expected) / expected < 0.01
 

@@ -2,8 +2,8 @@
 was slimmed.
 
 Each step gathers its batch by fancy indexing, builds the batch's id tuple,
-derives its dropout stream from (epoch, step) in one call, replaces every
-weight and bias with a fresh array, and checks each layer for non-finite
+draws each hidden layer's dropout mask with its own counter call, replaces
+every weight and bias with a fresh array, and checks each layer for non-finite
 values on its own. The forward and backward passes are the ones that loop
 ran (bias gradients by ``mean``). ``train`` must give the same weights, the
 same loss history and the same errors, bit for bit.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from uqregress.core import LabeledDataset
+from uqregress.core import LabeledDataset, counter_uniform
 from uqregress.errors import DivergenceError, NonFiniteLossError
 from uqregress.neural import (
     _ACTIVATIONS,
@@ -21,9 +21,19 @@ from uqregress.neural import (
     _SHUFFLE_NS,
     MlpModel,
     TrainConfig,
-    _hidden_masks_from_generator,
     _per_sample_loss_and_draw,
 )
+
+
+def _masks(m: MlpModel, seed, step: int, n: int) -> list[np.ndarray]:
+    """Each hidden layer's mask keyed by (batch row, step, layer, unit)."""
+    rate = m.config.dropout_rate
+    rows = np.arange(n, dtype=np.uint64)[:, None]
+    masks = []
+    for l, w in enumerate(m.config.layer_widths[1:-1]):
+        u = counter_uniform(seed, rows, np.uint64(step), np.uint64(l), np.arange(w, dtype=np.uint64))
+        masks.append((u >= rate).astype(np.float64) / (1.0 - rate))
+    return masks
 
 
 def _forward(m: MlpModel, X: np.ndarray, masks):
@@ -83,8 +93,7 @@ def train(m: MlpModel, data: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel
             batch_ids = tuple(data.ids[i] for i in idx)
             masks = None
             if use_dropout:
-                rng = cfg.seed.derive(_MASK_NS, epoch, step).generator()
-                masks = _hidden_masks_from_generator(m, len(idx), rng)
+                masks = _masks(m, cfg.seed.derive(_MASK_NS, epoch), step, len(idx))
             loss, grads = _loss_and_grads(m, X, y, batch_ids, cfg.loss, cfg.reg_weight, masks)
             for l, (gw, gb) in enumerate(grads):
                 m.weights[l] = m.weights[l] - lr * gw
