@@ -39,7 +39,7 @@ dropout = mc_dropout_predict(drop_model, test_data, DropoutSpec(samples=1000, ra
 
 print("training evidential head (regularization weight 0.05) ...")
 evid_model = MlpModel.initialize(MlpConfig((3, 32, 4), activation="relu", seed=RngSeed(5)))
-train(evid_model, train_data, TrainConfig(loss="evidential", reg_weight=0.05, **fit))
+train(evid_model, train_data, TrainConfig(reg_weight=0.05, **fit))
 evidential = evidential_predict(evid_model, test_data)
 
 print(f"\n{'method':<12} {'MAE':>7} {'R2':>7} {'Sha':>7} {'IQR':>7} {'Cv':>7} "

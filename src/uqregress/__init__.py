@@ -13,7 +13,6 @@ from .calibration import (
     CalibrationCurve,
     adversarial_group_calibration,
     calibration_curve,
-    miscalibration_area,
     normalized_residuals,
 )
 from .core import (
@@ -95,7 +94,6 @@ __all__ = [
     "log_gamma",
     "loss_and_gradient",
     "mc_dropout_predict",
-    "miscalibration_area",
     "normalized_residuals",
     "predict",
     "report_from_dict",

@@ -107,12 +107,6 @@ def _curve_from_residuals(z: np.ndarray, grid_size: int) -> tuple[np.ndarray, np
     return expected, _observed_proportions(phi_sorted, expected), n_used
 
 
-def miscalibration_area(c: CalibrationCurve) -> float:
-    """Trapezoidal area between the curve and the diagonal on [0, 1]."""
-    return _area_between(np.asarray(c.expected, dtype=np.float64),
-                         np.asarray(c.observed, dtype=np.float64))
-
-
 def adversarial_group_calibration(
     p: PredictionSet,
     fractions,

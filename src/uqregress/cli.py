@@ -105,8 +105,7 @@ def cmd_train(args, written: list[str]) -> None:
     )
     cfg = TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.learning_rate,
-        lr_decay=args.lr_decay, loss="evidential" if evidential else "squared_error",
-        reg_weight=args.reg_weight if evidential else 0.0,
+        lr_decay=args.lr_decay, reg_weight=args.reg_weight if evidential else 0.0,
         seed=base.derive(_MODEL_TRAIN_NS),
     )
     if args.method == "ensemble":
@@ -155,6 +154,8 @@ def _require_predictions(path):
 
 
 def cmd_evaluate(args, written: list[str]) -> None:
+    if args.violin_points < 1:
+        raise DomainError(f"--violin-points must be >= 1, got {args.violin_points}")
     p = _require_predictions(args.pred)
     report, curve = evaluate(p, grid_size=args.grid_size, honesty_multiplier=args.honesty_multiplier)
     out = Path(args.out)
@@ -458,8 +459,9 @@ def main(argv=None) -> int:
                   if getattr(args, k, None)]
         for out in written:
             io.write_manifest(out, args.command, config, inputs, written, started)
-    except (UqError, OSError) as exc:
-        # a failed run leaves none of its outputs behind, nor their manifests
+    except (UqError, OSError, MemoryError) as exc:
+        # a failed run leaves none of its outputs behind, nor their manifests;
+        # a flag that sizes an array can ask for more memory than exists
         for out in written:
             Path(out).unlink(missing_ok=True)
             io.manifest_path(out).unlink(missing_ok=True)

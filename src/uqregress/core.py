@@ -41,11 +41,22 @@ def _mix(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
     return x
 
 
-def _splitmix64(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
-    # SplitMix64 finalizer: a full-period 64-bit mixer, stable across platforms.
-    # The add makes a fresh value, so the caller's x is never written.
+def _chain(x: np.ndarray | np.uint64, indices, out: np.ndarray | None = None):
+    """SplitMix64 hash chain from ``x``: ``x <- mix((x ^ mix(i + G)) + G)`` for
+    each index ``i`` in turn (G the golden-ratio constant), a full-period
+    64-bit mixer stable across platforms. Each index is hashed at its own
+    shape; the chain broadcasts as it grows, so only the steps after the
+    widest index run on the full shape. A C-contiguous float64 ``out`` of the
+    final shape receives the last step's bits in place of a fresh array."""
     with np.errstate(over="ignore"):
-        return _mix(x + _GOLDEN)
+        for k, arr in enumerate(indices):
+            # the xor returns a fresh value (or fills out), which _mix may overwrite
+            h = _mix(np.asarray(arr, dtype=np.uint64) + _GOLDEN)
+            last = out is not None and k == len(indices) - 1
+            x = np.bitwise_xor(x, h, out=out.view(np.uint64) if last else None)
+            x += _GOLDEN
+            x = _mix(x)
+    return x
 
 
 @dataclass(frozen=True)
@@ -72,10 +83,8 @@ class RngSeed:
         index paths give (with overwhelming probability) distinct streams and
         the result does not depend on evaluation order.
         """
-        s = np.uint64(self.stream_id)
-        for ix in indices:
-            s = _splitmix64(s ^ _splitmix64(np.uint64(int(ix) & 0xFFFFFFFFFFFFFFFF)))
-        return RngSeed(self.seed, int(s))
+        path = [int(ix) & 0xFFFFFFFFFFFFFFFF for ix in indices]
+        return RngSeed(self.seed, int(_chain(np.uint64(self.stream_id), path)))
 
 
 def counter_uniform(seed: RngSeed, *index_arrays, out: np.ndarray | None = None) -> np.ndarray:
@@ -88,24 +97,32 @@ def counter_uniform(seed: RngSeed, *index_arrays, out: np.ndarray | None = None)
     C-contiguous float64 ``out`` of that shape receives the uniforms in place
     of a fresh array, so a caller drawing many times can reuse one buffer.
     """
-    x = np.uint64(seed.seed)
-    indices = (seed.stream_id, *index_arrays)
-    with np.errstate(over="ignore"):
-        for k, arr in enumerate(indices):
-            # hash each index at its own shape; the chain broadcasts as it grows,
-            # so only the steps after the widest index run on the full shape.
-            # The xor returns a fresh value (or fills out), which _mix may overwrite.
-            h = _mix(np.asarray(arr, dtype=np.uint64) + _GOLDEN)
-            last = out is not None and k == len(indices) - 1
-            x = np.bitwise_xor(x, h, out=out.view(np.uint64) if last else None)
-            x += _GOLDEN
-            x = _mix(x)
-        x >>= _S11
+    x = _chain(np.uint64(seed.seed), (seed.stream_id, *index_arrays), out)
+    x >>= _S11
     if not isinstance(x, np.ndarray):
         return np.float64(x) * 2.0**-53
     # convert the chain's own array in place: a second full-shape array costs
     # an allocation, and page faults each time the heap gives it back
     return np.multiply(x, 2.0**-53, out=x.view(np.float64) if out is None else out)
+
+
+def _check_finite(ids: tuple[str, ...], name: str, values: np.ndarray, unit: str) -> None:
+    """NonFiniteValueError naming the row (``unit`` 'row' or 'index') that
+    holds the first non-finite value of ``values``, one row per id."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad)) // (bad.size // len(bad))  # row of the first, row-major
+        raise NonFiniteValueError(f"non-finite {name} at {unit} {i} (id={ids[i]!r})")
+
+
+def _check_unique(ids: tuple[str, ...], unit: str) -> None:
+    """DuplicateIdError naming the first id seen twice and its row."""
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        for i, rid in enumerate(ids):
+            if rid in seen:
+                raise DuplicateIdError(f"duplicate id {rid!r} at {unit} {i}")
+            seen.add(rid)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -148,18 +165,9 @@ class LabeledDataset:
             raise LengthMismatchError(f"groups({len(self.groups)}) != ids({n})")
         if self.features.shape[1] < 1:
             raise DomainError("feature dimension must be >= 1")
-        if not np.all(np.isfinite(self.features)):
-            i = int(np.argwhere(~np.isfinite(self.features))[0][0])
-            raise NonFiniteValueError(f"non-finite feature at row {i} (id={self.ids[i]!r})")
-        if not np.all(np.isfinite(self.targets)):
-            i = int(np.argwhere(~np.isfinite(self.targets))[0][0])
-            raise NonFiniteValueError(f"non-finite target at row {i} (id={self.ids[i]!r})")
-        if len(set(self.ids)) != n:
-            seen: set[str] = set()
-            for i, rid in enumerate(self.ids):
-                if rid in seen:
-                    raise DuplicateIdError(f"duplicate id {rid!r} at row {i}")
-                seen.add(rid)
+        _check_finite(self.ids, "feature", self.features, "row")
+        _check_finite(self.ids, "target", self.targets, "row")
+        _check_unique(self.ids, "row")
 
     @property
     def n(self) -> int:
@@ -234,21 +242,12 @@ def validate_prediction_set(p: PredictionSet) -> PredictionSet:
     if p.groups is not None and len(p.groups) != n:
         raise LengthMismatchError(f"groups has length {len(p.groups)}, expected {n}")
     for name in ("y_true", "mu", "sigma"):
-        arr = getattr(p, name)
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise NonFiniteValueError(f"non-finite {name} at index {i} (id={p.ids[i]!r})")
+        _check_finite(p.ids, name, getattr(p, name), "index")
     neg = p.sigma < 0.0
     if neg.any():
         i = int(np.argmax(neg))
         raise NegativeSigmaError(f"sigma={p.sigma[i]} at index {i} (id={p.ids[i]!r})")
-    if len(set(p.ids)) != n:
-        seen: set[str] = set()
-        for i, rid in enumerate(p.ids):
-            if rid in seen:
-                raise DuplicateIdError(f"duplicate id {rid!r} at index {i}")
-            seen.add(rid)
+    _check_unique(p.ids, "index")
     return p
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledDataset, RngSeed
+from .core import LabeledDataset, PredictionSet, RngSeed
 from .errors import DomainError
 
 NOISE_FLOOR = 0.05
@@ -73,10 +73,8 @@ def generate_synthetic(n: int, dim: int, seed: RngSeed, n_groups: int = 0) -> Sy
     return SyntheticData(dataset=ds, true_sigma=sigma, dim=dim)
 
 
-def calibrated_prediction_set(data: SyntheticData) -> "PredictionSet":
+def calibrated_prediction_set(data: SyntheticData) -> PredictionSet:
     """The oracle PredictionSet: mu = true surface, sigma = true noise std."""
-    from .core import PredictionSet
-
     if data.dataset is None:
         raise DomainError("cannot build predictions from an empty dataset")
     ds = data.dataset

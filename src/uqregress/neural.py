@@ -30,8 +30,6 @@ _ACTIVATIONS = {
     "softplus": (ev.softplus, lambda z: 1.0 / (1.0 + np.exp(-z))),
 }
 
-LOSS_KINDS = ("squared_error", "evidential")
-
 # stream namespaces under a training seed, so shuffling and masks never collide
 _SHUFFLE_NS = 1
 _MASK_NS = 2
@@ -68,10 +66,13 @@ class MlpConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """SGD settings. The model's head picks the loss: squared error for the
+    1-unit head, the evidential NLL (plus ``reg_weight`` times its
+    regularizer) for the 4-unit head."""
+
     epochs: int
     batch_size: int
     learning_rate: float
-    loss: str = "squared_error"
     reg_weight: float = 0.0
     lr_decay: float = 0.0  # lr at epoch e is learning_rate / (1 + lr_decay * e)
     seed: RngSeed = RngSeed(0)
@@ -85,8 +86,6 @@ class TrainConfig:
             raise DomainError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.lr_decay < 0.0:
             raise DomainError(f"lr_decay must be >= 0, got {self.lr_decay}")
-        if self.loss not in LOSS_KINDS:
-            raise DomainError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
         if self.reg_weight < 0.0:
             raise DomainError(f"reg_weight must be >= 0, got {self.reg_weight}")
         if self.reg_weight > 0.2:
@@ -191,28 +190,23 @@ def predict(m: MlpModel, features: np.ndarray) -> np.ndarray:
     return raw
 
 
-def _per_sample_loss_and_draw(m: MlpModel, raw: np.ndarray, y: np.ndarray, loss: str, reg_weight: float):
-    if loss == "squared_error":
-        if raw.shape[1] != 1:
-            raise WrongHeadWidthError("squared_error loss needs a 1-unit head")
+def _per_sample_loss_and_draw(m: MlpModel, raw: np.ndarray, y: np.ndarray, reg_weight: float):
+    """Per-sample loss and d(loss)/d(raw) of the loss the model's head takes."""
+    if m.config.head == "plain":
         resid = raw[:, 0] - y
         return resid**2, (2.0 * resid)[:, None]
-    if loss == "evidential":
-        if raw.shape[1] != 4:
-            raise WrongHeadWidthError("evidential loss needs a 4-unit head")
-        gamma, nu, alpha, beta = ev.head_transform(raw)
-        losses = ev.nll_array(gamma, nu, alpha, beta, y)
-        dg, dn, da, db = ev.nll_gradients(gamma, nu, alpha, beta, y)
-        if reg_weight != 0.0:
-            losses = losses + reg_weight * ev.regularizer_array(gamma, nu, alpha, y)
-            rg, rn, ra, rb = ev.regularizer_gradients(gamma, nu, alpha, y)
-            dg, dn, da, db = dg + reg_weight * rg, dn + reg_weight * rn, da + reg_weight * ra, db + reg_weight * rb
-        d_params = np.stack([dg, dn, da, db], axis=1)
-        return losses, d_params * ev.head_transform_derivatives(raw)
-    raise DomainError(f"unknown loss {loss!r}")
+    gamma, nu, alpha, beta = ev.head_transform(raw)
+    losses = ev.nll_array(gamma, nu, alpha, beta, y)
+    dg, dn, da, db = ev.nll_gradients(gamma, nu, alpha, beta, y)
+    if reg_weight != 0.0:
+        losses = losses + reg_weight * ev.regularizer_array(gamma, nu, alpha, y)
+        rg, rn, ra, rb = ev.regularizer_gradients(gamma, nu, alpha, y)
+        dg, dn, da, db = dg + reg_weight * rg, dn + reg_weight * rn, da + reg_weight * ra, db + reg_weight * rb
+    d_params = np.stack([dg, dn, da, db], axis=1)
+    return losses, d_params * ev.head_transform_derivatives(raw)
 
 
-def _loss_and_grads(m, X, y, sample_id, loss, reg_weight, masks):
+def _loss_and_grads(m, X, y, sample_id, reg_weight, masks):
     """Batch-mean loss and gradients; ``sample_id(row)`` names a batch row
     and is called only to report a non-finite loss."""
     layer_inputs, pre_acts, raw = _forward_cached(m, X, masks)
@@ -220,7 +214,7 @@ def _loss_and_grads(m, X, y, sample_id, loss, reg_weight, masks):
         i = int(np.argmax(~np.isfinite(raw).all(axis=1)))
         raise NonFiniteLossError(f"network output is {raw[i].tolist()} for sample {sample_id(i)!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # guarded just below
-        losses, d_raw = _per_sample_loss_and_draw(m, raw, y, loss, reg_weight)
+        losses, d_raw = _per_sample_loss_and_draw(m, raw, y, reg_weight)
     bad = ~np.isfinite(losses)
     if bad.any():
         i = int(np.argmax(bad))
@@ -231,13 +225,14 @@ def _loss_and_grads(m, X, y, sample_id, loss, reg_weight, masks):
 def loss_and_gradient(
     m: MlpModel,
     batch: LabeledDataset,
-    loss: str = "squared_error",
     reg_weight: float = 0.0,
     dropout_seed: RngSeed | None = None,
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
     """Mean loss over the batch and analytic gradients for every parameter.
 
-    Gradients come back as one (dW, db) pair per layer, matching the batch
+    The model's head picks the loss: squared error for the 1-unit head, the
+    evidential NLL plus ``reg_weight`` times its regularizer for the 4-unit
+    head. Gradients come back as one (dW, db) pair per layer, matching the batch
     mean exactly (finite-difference checkable). Dropout masks, if requested,
     are fixed by ``dropout_seed`` (sample 0, one point per batch row) so the
     loss stays deterministic.
@@ -246,8 +241,8 @@ def loss_and_gradient(
     rate = m.config.dropout_rate
     if dropout_seed is not None and rate > 0.0:
         masks = _hidden_masks(m, counter_uniform(dropout_seed, *_mask_index(m, batch.n, 0)), rate)
-    return _loss_and_grads(m, batch.features, batch.targets, batch.ids.__getitem__, loss,
-                           reg_weight, masks)
+    return _loss_and_grads(m, batch.features, batch.targets, batch.ids.__getitem__, reg_weight,
+                           masks)
 
 
 def _flatten_parameters(m: MlpModel) -> np.ndarray:
@@ -266,6 +261,7 @@ def _flatten_parameters(m: MlpModel) -> np.ndarray:
 def train(m: MlpModel, data: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel, list[float]]:
     """Mini-batch SGD, in place. Returns the model and per-epoch mean loss.
 
+    The loss is the one the model's head takes (see :class:`TrainConfig`).
     Batch order is a fresh seeded shuffle each epoch; dropout masks (when the
     model has a nonzero rate) come from the counter under a per-epoch seed,
     keyed by (batch row, step, layer, unit).
@@ -299,7 +295,7 @@ def train(m: MlpModel, data: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel
                 if rate > 0.0:
                     masks = _hidden_masks(m, counter_uniform(mask_seed, *_mask_index(m, len(y), step)),
                                           rate)
-                loss, grads = _loss_and_grads(m, X, y, sample_id, cfg.loss, cfg.reg_weight, masks)
+                loss, grads = _loss_and_grads(m, X, y, sample_id, cfg.reg_weight, masks)
                 for w, b, (gw, gb) in zip(m.weights, m.biases, grads):
                     w -= lr * gw
                     b -= lr * gb

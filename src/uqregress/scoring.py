@@ -23,10 +23,9 @@ COVERAGE_GRID = np.round(np.arange(1, 100) / 100.0, 2)
 class IntervalScoreReport:
     mean_score: float
     per_point_scores: np.ndarray
-    coverage_grid: np.ndarray
 
 
-def interval_score(p: PredictionSet, coverage_grid=None) -> IntervalScoreReport:
+def interval_score(p: PredictionSet) -> IntervalScoreReport:
     """Negatively oriented mean interval score of a prediction set.
 
     sigma == 0 points degenerate gracefully: zero width, penalty term only
@@ -35,10 +34,7 @@ def interval_score(p: PredictionSet, coverage_grid=None) -> IntervalScoreReport:
     validate_prediction_set(p)
     if p.n < 1:
         raise DomainError("interval_score needs n >= 1")
-    grid = COVERAGE_GRID if coverage_grid is None else np.asarray(coverage_grid, dtype=np.float64)
-    if np.any(grid <= 0.0) or np.any(grid >= 1.0):
-        raise DomainError("coverages must lie strictly inside (0, 1)")
-    miss = 1.0 - grid                      # a = 1 - coverage
+    miss = 1.0 - COVERAGE_GRID  # a = 1 - coverage
     half_width_z = std_normal_quantile(1.0 - miss / 2.0)
 
     resid = p.y_true - p.mu
@@ -49,9 +45,5 @@ def interval_score(p: PredictionSet, coverage_grid=None) -> IntervalScoreReport:
         below = np.maximum(-half - resid, 0.0)   # y < lower bound
         above = np.maximum(resid - half, 0.0)    # y > upper bound
         totals += 2.0 * half + (2.0 / a) * (below + above)
-    per_point = totals / grid.size
-    return IntervalScoreReport(
-        mean_score=float(per_point.mean()),
-        per_point_scores=per_point,
-        coverage_grid=grid,
-    )
+    per_point = totals / COVERAGE_GRID.size
+    return IntervalScoreReport(mean_score=float(per_point.mean()), per_point_scores=per_point)

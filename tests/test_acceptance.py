@@ -62,8 +62,8 @@ def test_criterion_01_evidential_loss_correctness():
             m = MlpModel.initialize(MlpConfig((2, 6, 4), activation="tanh",
                                               seed=RngSeed(1000 + 100 * i + probe)))
             batch = random_batch((2, 6, 4), 4, seed=2000 + 100 * i + probe)
-            _, grads = loss_and_gradient(m, batch, loss="evidential", reg_weight=reg_weight)
-            fd = finite_difference_gradient(m, batch, "evidential", reg_weight)
+            _, grads = loss_and_gradient(m, batch, reg_weight=reg_weight)
+            fd = finite_difference_gradient(m, batch, reg_weight)
             worst = max(worst, max_rel_error(analytic_gradient_vector(grads), fd))
     grad_ok = worst <= 1e-4
     elapsed = time.time() - started
@@ -240,7 +240,7 @@ def test_criterion_08_lambda_sweep():
     for w in weights:
         m = MlpModel.initialize(MlpConfig((4, 32, 32, 4), activation="relu", seed=RngSeed(7)))
         train(m, train_data, TrainConfig(epochs=400, batch_size=256, learning_rate=0.015,
-                                         lr_decay=0.03, loss="evidential", reg_weight=w,
+                                         lr_decay=0.03, reg_weight=w,
                                          seed=RngSeed(8)))
         p = evidential_predict(m, test_data)
         maes.append(accuracy(p).mae)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from uqregress.calibration import (
-    CalibrationCurve,
+    _area_between,
     adversarial_group_calibration,
     calibration_curve,
-    miscalibration_area,
     normalized_residuals,
 )
 from uqregress.core import RngSeed
@@ -77,20 +76,17 @@ class TestCalibrationCurve:
 class TestMiscalibrationArea:
     def test_perfect_curve(self):
         e = np.linspace(0.01, 0.99, 99)
-        c = CalibrationCurve(e, e.copy(), 0.0, 10, 0)
-        assert miscalibration_area(c) == 0.0
+        assert _area_between(e, e.copy()) == 0.0
 
     def test_piecewise_closed_form(self):
         # {(0,0), (0.5,0.25), (1,1)} -> two triangles-ish trapezoids = 0.125
-        c = CalibrationCurve(np.array([0.5]), np.array([0.25]), 0.125, 10, 0)
-        assert miscalibration_area(c) == pytest.approx(0.125)
+        assert _area_between(np.array([0.5]), np.array([0.25])) == pytest.approx(0.125)
 
     def test_worst_case_approaches_half_as_grid_refines(self):
         areas = []
         for grid_size in (99, 999):
             e = np.arange(1, grid_size + 1) / (grid_size + 1)
-            c = CalibrationCurve(e, np.zeros(grid_size), 0.0, 10, 0)
-            areas.append(miscalibration_area(c))
+            areas.append(_area_between(e, np.zeros(grid_size)))
         assert areas[1] > areas[0]
         assert areas[1] < 0.5
         assert 0.5 - areas[1] < 2.0 / 1000.0
@@ -100,12 +96,7 @@ class TestMiscalibrationArea:
             gs = int(rng.integers(3, 200))
             e = np.arange(1, gs + 1) / (gs + 1)
             obs = np.sort(rng.uniform(0, 1, gs))
-            c = CalibrationCurve(e, obs, 0.0, 10, 0)
-            assert 0.0 <= miscalibration_area(c) <= 0.5
-
-    def test_curve_field_matches_function(self):
-        c = calibration_curve(gaussian_null(2000, seed=5, sigma_scale=0.7))
-        assert c.miscalibration_area == pytest.approx(miscalibration_area(c), abs=1e-15)
+            assert 0.0 <= _area_between(e, obs) <= 0.5
 
 
 class TestAdversarialGroupCalibration:

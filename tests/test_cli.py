@@ -424,6 +424,22 @@ class TestUnwritableInputs:
         _one_error_line(capsys, f"{flags[0]} must be a finite number, got {flags[1]}")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, flags, needle", [
+        ("evaluate", ["--violin-points", -1], "--violin-points must be >= 1, got -1"),
+        ("evaluate", ["--violin-points", 0], "--violin-points must be >= 1, got 0"),
+        # 6.94 EiB: far beyond any address space, so the allocation is refused
+        # at once; the calibration curve is written before the violin grid
+        ("evaluate", ["--violin-points", 10**18], "Unable to allocate 6.94 EiB"),
+        ("evaluate", ["--grid-size", 10**18], "Unable to allocate 6.94 EiB"),
+        ("adversarial", ["--trials", 10**18, "--fractions", 1.0], "Unable to allocate 6.94 EiB"),
+    ])
+    def test_work_size_flag_is_one_error_line(self, workspace, tmp_path, capsys, command, flags,
+                                              needle):
+        assert run(command, "--pred", workspace["preds"]["ensemble"], "--out", tmp_path / "r.json",
+                   *flags) == 1
+        _one_error_line(capsys, needle)
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_finite_config_value_names_the_flag(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"honesty_multiplier": Infinity}')  # Python's json reads it

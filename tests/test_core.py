@@ -63,6 +63,34 @@ class TestValidatePredictionSet:
         assert validate_prediction_set(p) is p
 
 
+class TestRowMessages:
+    """Datasets and prediction sets name the first bad row word for word."""
+
+    @pytest.mark.parametrize("features, targets, ids, error, message", [
+        ([[1.0, 2.0], [3.0, np.nan], [np.inf, 0.0]], [0.0, 0.0, 0.0], "abc",
+         NonFiniteValueError, "non-finite feature at row 1 (id='b')"),
+        ([[1.0], [2.0], [3.0]], [0.0, 0.0, -np.inf], "abc",
+         NonFiniteValueError, "non-finite target at row 2 (id='c')"),
+        ([[1.0], [2.0], [3.0], [4.0]], [0.0] * 4, "abba",
+         DuplicateIdError, "duplicate id 'b' at row 2"),
+    ])
+    def test_dataset(self, features, targets, ids, error, message):
+        with pytest.raises(error) as info:
+            LabeledDataset(ids=tuple(ids), features=features, targets=targets)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("mu, ids, error, message", [
+        ([0.0, 0.0, np.nan, np.inf], "abcd", NonFiniteValueError,
+         "non-finite mu at index 2 (id='c')"),
+        ([0.0] * 4, "abcb", DuplicateIdError, "duplicate id 'b' at index 3"),
+    ])
+    def test_prediction_set(self, mu, ids, error, message):
+        p = make_pset([0.0] * 4, mu, [1.0] * 4, ids=tuple(ids))
+        with pytest.raises(error) as info:
+            validate_prediction_set(p)
+        assert str(info.value) == message
+
+
 class TestLabeledDataset:
     def test_rejects_non_finite_features(self):
         with pytest.raises(NonFiniteValueError):

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import counter_reference as ref
-from uqregress.core import RngSeed, _splitmix64, counter_uniform
+from uqregress.core import RngSeed, _chain, counter_uniform
 from uqregress.neural import _ACTIVATIONS, MlpConfig, MlpModel
 from uqregress.uq_methods import DropoutSpec, mc_dropout_predict
 
@@ -64,10 +64,18 @@ class TestCounterUniform:
         assert counter_uniform(seed, *indices) == ref.counter_uniform_int(seed, *indices)
 
     @SETTINGS
-    @given(x=u64)
-    def test_splitmix64_matches_python_int(self, x):
-        assert int(_splitmix64(np.uint64(x))) == ref.splitmix64_int(x)
-        assert int(_splitmix64(np.array([x], dtype=np.uint64))[0]) == ref.splitmix64_int(x)
+    @given(x=u64, path=st.lists(u64, min_size=0, max_size=4))
+    def test_splitmix64_matches_python_int(self, x, path):
+        # the chain x <- splitmix64(x ^ splitmix64(i)) on a numpy scalar, on an
+        # array, and through RngSeed.derive, which reduces each index mod 2**64
+        want = x
+        for i in path:
+            want = ref.splitmix64_int(want ^ ref.splitmix64_int(i))
+        assert int(_chain(np.uint64(x), path)) == want
+        arrays = [np.array([i], dtype=np.uint64) for i in path]
+        assert int(_chain(np.array([x], dtype=np.uint64), arrays)[0]) == want
+        assert RngSeed(0, x).derive(*path).stream_id == want
+        assert RngSeed(0, x).derive(*(i - 2**64 for i in path)).stream_id == want
 
     def test_dropout_shaped_call_matches(self):
         seed = RngSeed(2**64 - 1, 2**64 - 1)

@@ -54,7 +54,7 @@ def set_params(m, vec):
         i += size
 
 
-def finite_difference_gradient(m, batch, loss, reg_weight, h=1e-5):
+def finite_difference_gradient(m, batch, reg_weight, h=1e-5):
     p0 = flatten_params(m)
     fd = np.empty_like(p0)
     for j in range(p0.size):
@@ -62,7 +62,7 @@ def finite_difference_gradient(m, batch, loss, reg_weight, h=1e-5):
             p = p0.copy()
             p[j] += sign * h
             set_params(m, p)
-            value, _ = loss_and_gradient(m, batch, loss=loss, reg_weight=reg_weight)
+            value, _ = loss_and_gradient(m, batch, reg_weight=reg_weight)
             if slot == 0:
                 up = value
             else:
@@ -152,8 +152,7 @@ class TestConfigValidation:
 
     def test_reg_weight_above_02_warns(self):
         with pytest.warns(UserWarning, match="0.2"):
-            TrainConfig(epochs=1, batch_size=8, learning_rate=0.1,
-                        loss="evidential", reg_weight=0.25)
+            TrainConfig(epochs=1, batch_size=8, learning_rate=0.1, reg_weight=0.25)
 
 
 class TestLossAndGradient:
@@ -174,7 +173,7 @@ class TestLossAndGradient:
         m = MlpModel.initialize(MlpConfig((2, 8, 1), activation="tanh", seed=RngSeed(10)))
         batch = random_batch((2, 8, 1), 6, seed=11)
         _, grads = loss_and_gradient(m, batch)
-        fd = finite_difference_gradient(m, batch, "squared_error", 0.0)
+        fd = finite_difference_gradient(m, batch, 0.0)
         assert max_rel_error(analytic_gradient_vector(grads), fd) < 1e-5
 
     @pytest.mark.parametrize("activation", ["relu", "tanh", "softplus"])
@@ -183,7 +182,7 @@ class TestLossAndGradient:
             m = MlpModel.initialize(MlpConfig((3, 6, 1), activation=activation, seed=RngSeed(seed)))
             batch = random_batch((3, 6, 1), 5, seed=100 + seed)
             _, grads = loss_and_gradient(m, batch)
-            fd = finite_difference_gradient(m, batch, "squared_error", 0.0)
+            fd = finite_difference_gradient(m, batch, 0.0)
             assert max_rel_error(analytic_gradient_vector(grads), fd) < 1e-6
 
     @pytest.mark.parametrize("reg_weight", [0.0, 0.05, 0.2])
@@ -191,8 +190,8 @@ class TestLossAndGradient:
         for seed in range(5):
             m = MlpModel.initialize(MlpConfig((2, 6, 4), activation="tanh", seed=RngSeed(seed)))
             batch = random_batch((2, 6, 4), 5, seed=200 + seed)
-            _, grads = loss_and_gradient(m, batch, loss="evidential", reg_weight=reg_weight)
-            fd = finite_difference_gradient(m, batch, "evidential", reg_weight)
+            _, grads = loss_and_gradient(m, batch, reg_weight=reg_weight)
+            fd = finite_difference_gradient(m, batch, reg_weight)
             assert max_rel_error(analytic_gradient_vector(grads), fd) < 1e-4
 
     def test_evidential_probe_through_pinned_head(self):
@@ -200,13 +199,8 @@ class TestLossAndGradient:
         y = 0.37
         m = pinned_head_model(y, 1.0, 2.0, 1.0)
         batch = dataset_from(np.array([[0.0]]), np.array([y]))
-        loss, _ = loss_and_gradient(m, batch, loss="evidential")
+        loss, _ = loss_and_gradient(m, batch)
         assert loss == pytest.approx(0.9808, abs=1e-3)
-
-    def test_wrong_head_for_loss(self):
-        m = MlpModel.initialize(MlpConfig((2, 4, 1), seed=RngSeed(12)))
-        with pytest.raises(WrongHeadWidthError):
-            loss_and_gradient(m, random_batch((2, 4, 1), 3, 13), loss="evidential")
 
     def test_non_finite_loss_names_sample(self):
         m = MlpModel.initialize(MlpConfig((1, 2, 1), seed=RngSeed(14)))
@@ -223,7 +217,7 @@ class TestLossAndGradient:
         batch = dataset_from(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
         needle = r"network output is \[0.0, .*, inf, .*\] for sample '0'"
         with pytest.raises(NonFiniteLossError, match=needle):
-            loss_and_gradient(m, batch, loss="evidential")
+            loss_and_gradient(m, batch)
 
 
 class TestDropoutExpectation:
@@ -304,8 +298,8 @@ TRAIN_RECIPES = {
     "dropout": (MlpConfig((3, 16, 8, 1), dropout_rate=0.2, seed=RngSeed(31)),
                 TrainConfig(epochs=4, batch_size=32, learning_rate=0.02, seed=RngSeed(32))),
     "evidential": (MlpConfig((3, 16, 8, 4), activation="softplus", seed=RngSeed(31)),
-                   TrainConfig(epochs=4, batch_size=32, learning_rate=0.01, loss="evidential",
-                               reg_weight=0.05, seed=RngSeed(32))),
+                   TrainConfig(epochs=4, batch_size=32, learning_rate=0.01, reg_weight=0.05,
+                               seed=RngSeed(32))),
 }
 
 

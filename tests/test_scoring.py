@@ -1,5 +1,7 @@
 """Negatively oriented mean interval score: closed forms and propriety."""
 
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
@@ -11,17 +13,17 @@ from conftest import make_pset
 
 
 class TestIntervalScore:
-    def test_pure_width_closed_form_at_half_coverage(self):
-        # y = mu, sigma = 1, single 50% level: score = width = 2 * quantile(0.75)
+    def test_pure_width_closed_form(self):
+        # y = mu, sigma = 1: score = mean width = mean over c of 2 * quantile((1 + c) / 2)
         p = make_pset([0.0], [0.0], [1.0])
-        rep = interval_score(p, coverage_grid=[0.5])
-        assert rep.mean_score == pytest.approx(2.0 * std_normal_quantile(0.75))
-        assert rep.mean_score == pytest.approx(1.3490, abs=1e-4)
+        rep = interval_score(p)
+        widths = [2.0 * NormalDist().inv_cdf((1.0 + k / 100) / 2.0) for k in range(1, 100)]
+        assert rep.mean_score == pytest.approx(sum(widths) / 99)
+        assert rep.mean_score == pytest.approx(1.5800, abs=1e-4)
 
     def test_grid_is_percent_steps(self):
-        rep = interval_score(make_pset([0.0], [0.0], [1.0]))
-        np.testing.assert_allclose(rep.coverage_grid, np.arange(1, 100) / 100.0)
-        assert rep.coverage_grid.shape == (99,)
+        np.testing.assert_allclose(COVERAGE_GRID, np.arange(1, 100) / 100.0)
+        assert COVERAGE_GRID.shape == (99,)
 
     def test_homogeneity_when_no_penalty(self, rng):
         mu = rng.normal(size=40)
@@ -65,9 +67,9 @@ class TestIntervalScore:
         assert all(b > a for a, b in zip(scores, scores[1:]))
 
     def test_zero_sigma_scores_penalty_only(self):
-        rep = interval_score(make_pset([1.0], [0.0], [0.0]), coverage_grid=[0.5])
-        # width 0; penalty (2/0.5)*|1-0| = 4
-        assert rep.mean_score == pytest.approx(4.0)
+        rep = interval_score(make_pset([1.0], [0.0], [0.0]))
+        # width 0; penalty (2/a)*|1-0| at each miss rate a = 1 - c
+        assert rep.mean_score == pytest.approx(sum(2.0 / (1.0 - k / 100) for k in range(1, 100)) / 99)
 
     def test_positive_for_positive_sigma(self, rng):
         p = make_pset(rng.normal(size=50), rng.normal(size=50), rng.uniform(0.01, 2, 50))

@@ -191,7 +191,7 @@ class TestEvidentialOps:
         for w in (0.0, 0.05, 0.2):
             expected = float(ev.nll_array(g, nu, al, be, 0.9)[0]
                              + w * ev.regularizer_array(g, nu, al, 0.9)[0])
-            loss, _ = loss_and_gradient(m, batch, loss="evidential", reg_weight=w)
+            loss, _ = loss_and_gradient(m, batch, reg_weight=w)
             assert loss == pytest.approx(expected, abs=1e-12)
 
 

@@ -69,10 +69,10 @@ def _backward(m: MlpModel, layer_inputs, pre_acts, masks, d_raw: np.ndarray):
     return list(zip(grads_w, grads_b))
 
 
-def _loss_and_grads(m, X, y, ids, loss, reg_weight, masks):
+def _loss_and_grads(m, X, y, ids, reg_weight, masks):
     layer_inputs, pre_acts, raw = _forward(m, X, masks)
     with np.errstate(over="ignore", invalid="ignore"):
-        losses, d_raw = _per_sample_loss_and_draw(m, raw, y, loss, reg_weight)
+        losses, d_raw = _per_sample_loss_and_draw(m, raw, y, reg_weight)
     bad = ~np.isfinite(losses)
     if bad.any():
         i = int(np.argmax(bad))
@@ -94,7 +94,7 @@ def train(m: MlpModel, data: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel
             masks = None
             if use_dropout:
                 masks = _masks(m, cfg.seed.derive(_MASK_NS, epoch), step, len(idx))
-            loss, grads = _loss_and_grads(m, X, y, batch_ids, cfg.loss, cfg.reg_weight, masks)
+            loss, grads = _loss_and_grads(m, X, y, batch_ids, cfg.reg_weight, masks)
             for l, (gw, gb) in enumerate(grads):
                 m.weights[l] = m.weights[l] - lr * gw
                 m.biases[l] = m.biases[l] - lr * gb
