@@ -5,6 +5,14 @@ z = (y - mu)/sigma are pushed through the standard normal CDF, and for each
 expected proportion p the observed proportion is the fraction of points with
 Φ(z) <= p. For a perfectly specified Gaussian model Φ(z) is uniform and the
 curve hugs the diagonal.
+
+Each point is binned once: its bin is the index of the first grid value at or
+above its Φ(z), so it counts at that grid value and every later one, and a
+curve over any subset of points is a cumulative count of their bins. Only
+sigma == 0 points are left out. A sigma > 0 point whose z overflows to ±inf
+has Φ(z) = 1 or 0 and counts like any other. ``recalibration.fit_scalar``
+counts the same comparison in z-space, z <= Φ⁻¹(p); the two agree unless a
+point lies within a few ulps of a grid quantile.
 """
 
 from __future__ import annotations
@@ -46,16 +54,29 @@ def normalized_residuals(p: PredictionSet) -> np.ndarray:
     """z_i = (y_i - mu_i) / sigma_i, with +Inf sentinel where sigma_i == 0.
 
     Sentinel entries are excluded from curve construction downstream; the
-    exclusion count is carried on the resulting curve.
+    exclusion count is carried on the resulting curve. A sigma > 0 point
+    whose ratio overflows is ±Inf as well, but it is not excluded: callers
+    tell the two apart by sigma, not by z.
     """
     validate_prediction_set(p)
-    return _residual_ratio(p.y_true - p.mu, p.sigma)
+    return _residual_ratio(p)
 
 
-def _residual_ratio(residual: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    z = np.full(residual.shape[0], np.inf, dtype=np.float64)
-    np.divide(residual, sigma, out=z, where=sigma > 0.0)
+def _residual_ratio(p: PredictionSet) -> np.ndarray:
+    z = np.full(p.n, np.inf, dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflowing z is a valid ±inf
+        np.divide(p.y_true - p.mu, p.sigma, out=z, where=p.sigma > 0.0)
     return z
+
+
+def _count_used(used: np.ndarray) -> int:
+    """Number of sigma > 0 points; raises unless there are at least 2."""
+    n_used = int(np.count_nonzero(used))
+    if n_used == 0:
+        raise AllSigmaZeroError("every sigma is zero; no calibration curve exists")
+    if n_used < 2:
+        raise DomainError(f"need >= 2 points with sigma > 0, got {n_used}")
+    return n_used
 
 
 def _expected_grid(grid_size: int) -> np.ndarray:
@@ -64,9 +85,20 @@ def _expected_grid(grid_size: int) -> np.ndarray:
     return np.arange(1, grid_size + 1, dtype=np.float64) / (grid_size + 1)
 
 
-def _observed_proportions(phi_sorted: np.ndarray, expected: np.ndarray) -> np.ndarray:
-    counts = np.searchsorted(phi_sorted, expected, side="right")
-    return counts.astype(np.float64) / phi_sorted.size
+def _grid_bins(z: np.ndarray, expected: np.ndarray) -> np.ndarray:
+    """Per point, the index of the first grid value >= Φ(z): the point has
+    Φ(z) <= expected[j] exactly for j >= its bin."""
+    return np.searchsorted(expected, std_normal_cdf(z), side="left")
+
+
+def _observed_proportions(bins: np.ndarray, n_used: int, grid_size: int) -> np.ndarray:
+    """Observed proportion at each grid value among ``n_used`` points.
+
+    Bins at or past ``grid_size`` (Φ(z) above every grid value, or a
+    sigma == 0 point) count at no grid value.
+    """
+    counts = np.bincount(bins, minlength=grid_size + 1)[:grid_size]
+    return np.cumsum(counts) / n_used
 
 
 def _area_between(expected: np.ndarray, observed: np.ndarray) -> float:
@@ -84,7 +116,12 @@ def calibration_curve(p: PredictionSet, grid_size: int = DEFAULT_GRID_SIZE) -> C
     the trapezoidal integral of |observed - expected| including the implicit
     (0,0) and (1,1) endpoints.
     """
-    expected, observed, n_used = _curve_from_residuals(normalized_residuals(p), grid_size)
+    z = normalized_residuals(p)
+    used = p.sigma > 0.0
+    n_used = _count_used(used)
+    expected = _expected_grid(grid_size)
+    # the count ignores order; sorted keys only make the grid search faster
+    observed = _observed_proportions(_grid_bins(np.sort(z[used]), expected), n_used, grid_size)
     return CalibrationCurve(
         expected=expected,
         observed=observed,
@@ -92,19 +129,6 @@ def calibration_curve(p: PredictionSet, grid_size: int = DEFAULT_GRID_SIZE) -> C
         n_used=n_used,
         n_excluded_zero_sigma=p.n - n_used,
     )
-
-
-def _curve_from_residuals(z: np.ndarray, grid_size: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(expected, observed, n_used) over the finite entries of ``z``."""
-    finite = np.isfinite(z)
-    n_used = int(finite.sum())
-    if n_used == 0:
-        raise AllSigmaZeroError("every sigma is zero; no calibration curve exists")
-    if n_used < 2:
-        raise DomainError(f"need >= 2 points with sigma > 0, got {n_used}")
-    phi_sorted = np.sort(std_normal_cdf(z[finite]))
-    expected = _expected_grid(grid_size)
-    return expected, _observed_proportions(phi_sorted, expected), n_used
 
 
 def adversarial_group_calibration(
@@ -136,12 +160,13 @@ def adversarial_group_calibration(
         raise DomainError("trials and subgroups must be >= 1")
 
     z = normalized_residuals(p)
-    finite = np.isfinite(z)
-    if not finite.any():
+    used = p.sigma > 0.0
+    all_used = bool(used.all())
+    if not used.any():
         raise AllSigmaZeroError("every sigma is zero; no calibration curve exists")
-    phi = np.full(p.n, np.nan, dtype=np.float64)
-    phi[finite] = std_normal_cdf(z[finite])
     expected = _expected_grid(grid_size)
+    bins = np.full(p.n, grid_size, dtype=np.intp)  # sigma == 0 counts nowhere
+    bins[used] = _grid_bins(z[used], expected)
 
     sizes = np.rint(fracs * p.n).astype(int)
     for f, size in zip(fracs, sizes):
@@ -157,13 +182,12 @@ def adversarial_group_calibration(
             worst = -np.inf
             for _ in range(subgroups):
                 idx = rng.choice(p.n, size=size, replace=False)
-                sub = phi[idx]
-                sub = sub[np.isfinite(sub)]
-                if sub.size < 2:
+                n_used = int(size) if all_used else int(np.count_nonzero(used[idx]))
+                if n_used < 2:
                     raise AllSigmaZeroError(
-                        f"subgroup of size {size} has {sub.size} usable points (sigma > 0)"
+                        f"subgroup of size {size} has {n_used} usable points (sigma > 0)"
                     )
-                observed = _observed_proportions(np.sort(sub), expected)
+                observed = _observed_proportions(bins[idx], n_used, grid_size)
                 worst = max(worst, _area_between(expected, observed))
             maxima[t] = worst
         mean_worst[fi] = maxima.mean()

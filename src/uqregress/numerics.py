@@ -1,12 +1,21 @@
 """Special functions, bounded scalar minimization, and Scott's-rule KDE.
 
-The probability functions accept scalars or numpy arrays and are exact to
-machine precision (they delegate to the battle-tested scipy/C implementations
-behind this module's contract). scipy is imported on first use, inside the
-call that needs it, so importing this module or the CLI does not load it.
-The KDE is written out here because its bandwidth convention — Bessel-corrected
-sample std times n**(-1/5) — and its degenerate-sample behavior are part of
-the contract.
+The probability functions accept scalars or numpy arrays. Φ is scipy's own
+formula written in numpy (within a few ulp of ``scipy.special.ndtr``, see
+``std_normal_cdf``), Φ⁻¹ is the stdlib's AS241 (within a few ulp of
+``ndtri``), and ``brent_minimize`` runs scipy's bounded Brent iterates in
+plain Python, so none of the three loads scipy and the evaluation commands
+start without it. Only ``log_gamma`` and ``digamma`` (evidential training)
+import ``scipy.special``, on first use, inside the call.
+
+Those few ulps move a point across a grid value only if it lies within ulps
+of it. So the z-space recalibration fit, which compares z with Φ⁻¹ of the
+grid, has the areas of a fit that draws one Φ-based curve per evaluation,
+unless a point lies within ulps of a grid quantile.
+
+The KDE is written out here because its bandwidth convention —
+Bessel-corrected sample std times n**(-1/5) — and its degenerate-sample
+behavior are part of the contract.
 """
 
 from __future__ import annotations
@@ -19,6 +28,58 @@ import numpy as np
 from .errors import DegenerateSampleError, DomainError, NonFiniteValueError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# Rational forms of cephes ``ndtr.c`` (Stephen L. Moshier, BSD licence), the
+# erf/erfc scipy.special evaluates: T/U give erf on |x| < 1, P/Q and R/S give
+# erfc on [1, 8) and [8, inf). Highest degree first; U, Q and S omit their
+# leading 1.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2  # erfc(x) is taken as 0 (or 2) once x*x > _MAXLOG
+
+
+def _ratio(x: np.ndarray, num: tuple, den: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """cephes ``polevl(x, num)`` and ``p1evl(x, den)``: Horner, in the same order."""
+    p = np.full_like(x, num[0])
+    for c in num[1:]:
+        p *= x
+        p += c
+    q = x + den[0]
+    for c in den[1:]:
+        q *= x
+        q += c
+    return p, q
+
+
+def _erfc(a: np.ndarray) -> np.ndarray:
+    """cephes ``erfc`` of a float64 array, with ``np.exp`` in place of libm's."""
+    x = np.abs(a)
+    with np.errstate(over="ignore"):
+        under = x * x > _MAXLOG  # erfc is 0 (2 for a < 0) here, +-inf included
+    out = np.zeros_like(a)
+    inner = x < 1.0  # erfc = 1 - erf(a)
+    s = a[inner]
+    p, q = _ratio(s * s, _ERF_T, _ERF_U)
+    out[inner] = 1.0 - s * p / q
+    for band, (num, den) in (((x < 8.0) & ~inner, (_ERFC_P, _ERFC_Q)),
+                             ((x >= 8.0) & ~under, (_ERFC_R, _ERFC_S))):
+        t = x[band]
+        p, q = _ratio(t, num, den)
+        out[band] = np.exp(-t * t) * p / q
+    np.subtract(2.0, out, out=out, where=(a < 0.0) & ~inner)
+    return out
 
 
 def _special(name: str, x, bad, message: str):
@@ -41,14 +102,35 @@ def _not_finite_positive(a):
 
 
 def std_normal_cdf(x):
-    """Standard normal CDF Φ(x). Vectorized; |error| < 1e-15."""
-    return _special("ndtr", x, np.isnan, "std_normal_cdf requires non-NaN input")
+    """Standard normal CDF Φ(x). Vectorized; exactly 0 and 1 at -inf and +inf.
+
+    Computed as 0.5 * erfc(-x / sqrt(2)), which is how ``scipy.special.ndtr``
+    computes it, with cephes' erfc. The only difference is ``np.exp`` for
+    libm's ``exp``: the result is within a few ulp of scipy's wherever that is
+    a normal float, and within 1e-323 below (about x < -37.5).
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    if np.any(np.isnan(arr)):
+        raise DomainError("std_normal_cdf requires non-NaN input")
+    out = _erfc(np.atleast_1d(arr * -math.sqrt(0.5)))
+    out *= 0.5
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def std_normal_quantile(p):
-    """Inverse standard normal CDF Φ⁻¹(p) for p in (0, 1). Vectorized."""
-    return _special("ndtri", p, lambda a: ~((a > 0.0) & (a < 1.0)),
-                    "std_normal_quantile requires p in the open interval (0, 1)")
+    """Inverse standard normal CDF Φ⁻¹(p) for p in (0, 1). Vectorized.
+
+    Each value is ``statistics.NormalDist().inv_cdf`` (Wichura's AS241, near
+    full double precision); callers pass grids of ~100 levels, not data.
+    """
+    arr = np.asarray(p, dtype=np.float64)
+    if not np.all((arr > 0.0) & (arr < 1.0)):
+        raise DomainError("std_normal_quantile requires p in the open interval (0, 1)")
+    from statistics import NormalDist
+
+    inv_cdf = NormalDist().inv_cdf
+    out = np.array([inv_cdf(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
 
 
 def log_gamma(x):
@@ -74,24 +156,88 @@ class BrentResult:
 def brent_minimize(f, lo: float, hi: float, tol: float = 1e-6, max_iter: int = 200) -> BrentResult:
     """Minimize ``f`` on [lo, hi] by Brent's bounded method.
 
-    ``tol`` is an absolute tolerance on the argument. When ``max_iter`` is
-    exhausted the best point found so far is returned with converged=False
-    rather than raising.
+    ``tol`` is an absolute tolerance on the argument. When ``max_iter``
+    evaluations of ``f`` are spent the best point found so far is returned
+    with converged=False rather than raising.
+
+    This is scipy's ``_minimize_scalar_bounded`` (``minimize_scalar(method=
+    "bounded")``, scipy/optimize/_optimize.py, BSD-3-Clause, Copyright (c)
+    2001-2002 Enthought, Inc., 2003 SciPy Developers) without its printing:
+    it evaluates ``f`` at the same points in the same order, so it returns
+    what the scipy call would.
     """
     if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(
-        f, bounds=(lo, hi), method="bounded", options={"xatol": tol, "maxiter": max_iter}
-    )
-    x = float(min(max(res.x, lo), hi))
-    value = float(res.fun)
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    fu = np.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + tol / 3.0
+    tol2 = 2.0 * tol1
+    converged = True
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = not np.abs(e) > tol1
+        if not golden:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r, e = e, rat
+            golden = not (np.abs(p) < np.abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf))
+            if not golden:
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + tol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= max_iter:
+            converged = False
+            break
+    if np.isnan(xf) or np.isnan(fx) or np.isnan(fu):
+        converged = False
+    x = float(min(max(xf, lo), hi))
+    value = float(fx)
     if not np.isfinite(value):
         raise NonFiniteValueError(f"objective is non-finite at x={x}")
-    return BrentResult(argmin=x, value=value, iterations=int(res.nit), converged=bool(res.success))
+    return BrentResult(argmin=x, value=value, iterations=num, converged=converged)
 
 
 def scott_bandwidth(samples: np.ndarray) -> float:

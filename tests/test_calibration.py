@@ -11,6 +11,8 @@ from uqregress.calibration import (
 )
 from uqregress.core import RngSeed
 from uqregress.errors import AllSigmaZeroError, FractionTooSmallError
+from uqregress.numerics import std_normal_cdf
+from uqregress.recalibration import fit_scalar
 
 from conftest import gaussian_null, make_pset
 
@@ -131,3 +133,77 @@ class TestAdversarialGroupCalibration:
         p = gaussian_null(100, seed=10)
         with pytest.raises(FractionTooSmallError):
             adversarial_group_calibration(p, [0.005], trials=2, subgroups=2, seed=RngSeed(0))
+
+
+def counted_proportions(y, mu, sigma, grid_size=99):
+    """Observed proportions counted directly: mean of Φ(z) <= p over sigma > 0."""
+    used = sigma > 0.0
+    phi = std_normal_cdf((y[used] - mu[used]) / sigma[used])
+    expected = np.arange(1, grid_size + 1) / (grid_size + 1)
+    return (phi[None, :] <= expected[:, None]).mean(axis=1)
+
+
+class TestBinnedCounting:
+    @pytest.mark.parametrize("grid_size", [1, 9, 99, 250])
+    def test_matches_a_direct_count(self, rng, grid_size):
+        n = 700
+        mu, sigma = rng.normal(size=n), rng.uniform(0.1, 2.0, n)
+        sigma[rng.random(n) < 0.2] = 0.0
+        y = mu + rng.standard_normal(n)
+        c = calibration_curve(make_pset(y, mu, sigma), grid_size)
+        np.testing.assert_array_equal(c.observed, counted_proportions(y, mu, sigma, grid_size))
+
+    def test_points_on_grid_values_count_there(self):
+        # Φ(0) = 0.5 is the middle grid value of a 9-point grid and counts from it on
+        c = calibration_curve(make_pset([0.0, 0.0, 5.0], [0.0, 0.0, 0.0], [1.0, 2.0, 1.0]), 9)
+        np.testing.assert_array_equal(c.observed * 3, [0, 0, 0, 0, 2, 2, 2, 2, 2])
+
+    def test_adversarial_subgroups_skip_zero_sigma_points(self):
+        p = gaussian_null(400, seed=11, sigma_scale=0.5)
+        sigma = p.sigma.copy()
+        sigma[::4] = 0.0
+        q = p.with_sigma(sigma)
+        adv = adversarial_group_calibration(q, [1.0], trials=1, subgroups=2, seed=RngSeed(4))
+        assert adv.mean_worst_area[0] == calibration_curve(q).miscalibration_area
+
+    def test_subgroup_without_two_usable_points(self):
+        sigma = np.zeros(10)
+        sigma[3] = 1.0
+        p = make_pset(np.zeros(10), np.zeros(10), sigma)
+        with pytest.raises(AllSigmaZeroError, match="has 1 usable points"):
+            adversarial_group_calibration(p, [1.0], trials=1, subgroups=1)
+
+
+class TestOverflowingResidualRatio:
+    """A sigma > 0 point whose z overflows is used, not excluded as sigma == 0:
+    z = +inf has Φ = 1 and z = -inf has Φ = 0."""
+
+    Y, MU = [1.0, 0.5, -0.3, 2.0, 0.0], [0.0, 0.1, 0.2, 1.0, -1.0]
+
+    def test_curve_counts_the_point(self):
+        c = calibration_curve(make_pset(self.Y, self.MU, [5e-324, 1.0, 0.5, 0.7, 0.9]))
+        assert (c.n_used, c.n_excluded_zero_sigma) == (5, 0)
+        # the same as a large finite z in that row
+        ref = calibration_curve(make_pset([1e300, *self.Y[1:]], self.MU, [1.0, 1.0, 0.5, 0.7, 0.9]))
+        np.testing.assert_array_equal(c.observed, ref.observed)
+        assert c.miscalibration_area == ref.miscalibration_area
+
+    def test_negative_overflow_counts_everywhere(self):
+        c = calibration_curve(make_pset([-1.0, *self.Y[1:]], self.MU, [5e-324, 1.0, 0.5, 0.7, 0.9]))
+        ref = calibration_curve(make_pset([-1e300, *self.Y[1:]], self.MU, [1.0, 1.0, 0.5, 0.7, 0.9]))
+        np.testing.assert_array_equal(c.observed, ref.observed)
+        assert c.observed[0] == 0.2
+
+    def test_residual_that_overflows(self):
+        c = calibration_curve(make_pset([1e308, *self.Y[1:]], [-1e308, *self.MU[1:]],
+                                        [1.0, 1.0, 0.5, 0.7, 0.9]))
+        assert c.n_used == 5
+        assert np.isposinf(normalized_residuals(make_pset([1e308], [-1e308], [1.0]))[0])
+
+    def test_adversarial_and_fit_use_it(self):
+        p = make_pset(self.Y, self.MU, [5e-324, 1.0, 0.5, 0.7, 0.9])
+        adv = adversarial_group_calibration(p, [1.0], trials=2, subgroups=2)
+        assert adv.mean_worst_area[0] == calibration_curve(p).miscalibration_area
+        ref = fit_scalar(make_pset([1e300, *self.Y[1:]], self.MU, [1.0, 1.0, 0.5, 0.7, 0.9]))
+        res = fit_scalar(p)
+        assert (res.area_before, res.area_after) == (ref.area_before, ref.area_after)

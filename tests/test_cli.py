@@ -131,6 +131,17 @@ class TestEvaluate:
         assert run("evaluate", "--pred", tmp_path / "nope.csv", "--out", tmp_path / "r.json") == 1
         assert "error" in capsys.readouterr().err
 
+    def test_overflowing_z_is_used_not_excluded(self, tmp_path):
+        # sigma = 5e-324 is positive, so its row counts although y/sigma overflows
+        pred = tmp_path / "p.csv"
+        pred.write_text("id,y_true,y_pred,sigma\na,1,0,5e-324\nb,0.5,0.1,1\n"
+                        "c,-0.3,0.2,0.5\nd,2,1,0.7\n")
+        out = tmp_path / "r.json"
+        assert run("evaluate", "--pred", pred, "--out", out) == 0
+        report = json.loads(out.read_text())
+        assert report["calibration_n_used"] == 4
+        assert report["calibration_n_excluded_zero_sigma"] == 0
+
 
 class TestAdversarial:
     def test_fraction_one_matches_evaluate_area(self, workspace, tmp_path):

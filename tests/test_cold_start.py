@@ -1,7 +1,9 @@
 """Cold start: scipy stays off the import path and loads on first use.
 
-Each check runs in a fresh interpreter, because the test process itself has
-long since imported scipy.
+Only evidential training (ln Γ, ψ and the logistic of the evidential head)
+loads ``scipy.special``; no command loads ``scipy.optimize``. Each check runs
+in a fresh interpreter, because the test process itself has long since
+imported scipy.
 """
 
 import json
@@ -35,15 +37,33 @@ def test_importing_the_cli_loads_no_scipy():
     assert run_fresh(f"import json, sys\nimport uqregress.cli\nprint(json.dumps({SCIPY_KEYS}))") == []
 
 
+# every module `import uqregress.cli` may add to those numpy loads; `statistics`
+# (for Φ⁻¹) and `scipy` load inside the functions that use them
+CLI_IMPORTS = {
+    "__future__", "_csv", "_json", "argparse", "copy", "csv", "dataclasses", "gettext",
+    "json", "json.decoder", "json.encoder", "json.scanner",
+}
+
+
+def test_importing_the_cli_loads_no_new_module():
+    added = run_fresh(
+        "import json, sys\nimport numpy\nbefore = set(sys.modules)\nimport uqregress.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    ours = {m for m in added if m == "uqregress" or m.startswith("uqregress.")}
+    assert set(added) - ours <= CLI_IMPORTS
+    assert "uqregress.cli" in ours
+
+
 TINY_TRAIN = ["--hidden", "4", "--epochs", "1", "--k", "2"]
 
 
 @pytest.fixture(scope="module")
 def tiny(tmp_path_factory):
-    """A tiny dataset, an ensemble and a dropout checkpoint, and a prediction CSV."""
+    """A tiny dataset, an ensemble, a dropout and an evidential checkpoint, and a prediction CSV."""
     root = tmp_path_factory.mktemp("cold")
     assert main(["generate", "--out", str(root), "--n-train", "30", "--n-test", "10"]) == 0
-    for method in ("ensemble", "dropout"):
+    for method in ("ensemble", "dropout", "evidential"):
         assert main(["train", "--method", method, "--train", str(root / "train.csv"),
                      "--out", str(root / f"{method}.json"), *TINY_TRAIN]) == 0
     assert main(["predict", "--method", "dropout", "--model", str(root / "dropout.json"),
@@ -63,6 +83,12 @@ NO_SCIPY = {
                          "--test", "{root}/test.csv", "--out", "{out}"],
     "predict-dropout": ["predict", "--method", "dropout", "--model", "{root}/dropout.json",
                         "--test", "{root}/test.csv", "--out", "{out}", "--samples", "3"],
+    "predict-evidential": ["predict", "--method", "evidential", "--model", "{root}/evidential.json",
+                           "--test", "{root}/test.csv", "--out", "{out}"],
+    "evaluate": ["evaluate", "--pred", "{root}/pred.csv", "--out", "{out}"],
+    "adversarial": ["adversarial", "--pred", "{root}/pred.csv", "--out", "{out}",
+                    "--fractions", "0.5,1.0", "--trials", "2"],
+    "recalibrate": ["recalibrate", "--pred", "{root}/pred.csv", "--out", "{out}"],
     "screen": ["screen", "--pred", "{root}/pred.csv", "--out", "{out}"],
 }
 
@@ -81,10 +107,23 @@ def test_command_loads_no_scipy(tiny, tmp_path, command):
     assert out.exists()
 
 
+NO_SCIPY_CALLS = (
+    "numerics.std_normal_cdf(np.array([-np.inf, -1.5, 0.0, 0.3, 7.0, np.inf])).tolist()",
+    "numerics.std_normal_quantile(np.array([1e-9, 0.025, 0.5, 0.9])).tolist()",
+    "numerics.brent_minimize(lambda x: (x - 0.3) ** 2 + np.cos(7 * x), -1.0, 2.0).iterations",
+)
+
+
+def test_normal_functions_and_brent_load_no_scipy():
+    code = ["import json, sys", "import numpy as np", "from uqregress import numerics",
+            f"out = [{', '.join(NO_SCIPY_CALLS)}]", f"print(json.dumps([out, {SCIPY_KEYS}]))"]
+    fresh, loaded = run_fresh("\n".join(code))
+    assert loaded == []
+    assert fresh == [eval(call) for call in NO_SCIPY_CALLS]
+
+
 # (module, function, call) for every function that imports scipy on first use
 CALLS = (
-    ("numerics", "std_normal_cdf", "[-1.5, 0.0, 0.3, 7.0]"),
-    ("numerics", "std_normal_quantile", "[1e-9, 0.025, 0.5, 0.9]"),
     ("numerics", "log_gamma", "[1e-3, 0.5, 3.7, 150.0]"),
     ("numerics", "digamma", "[1e-3, 0.5, 3.7, 150.0]"),
     ("evidential", "head_transform_derivatives", "[[0.1, -2.0, 0.0, 3.0]]"),
