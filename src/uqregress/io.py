@@ -6,13 +6,14 @@ command yields byte-identical files. Every writer also drops a sidecar
 ``<file>.manifest.json`` recording the command and resolved configuration
 that produced the file.
 
-CSV tables are written and read a column at a time. Text cells (ids, group
-tags) are quoted exactly as ``csv.writer`` quotes them. A file that is not
-plain (printable ASCII lines, no quotes, no blank lines), or that the column
-parse rejects, is read again line by line with the ``csv`` module, and that
-scan alone decides what the file holds or which error it raises. Every file
-is written to a sibling temp file that then replaces the target, so a failed
-write leaves the target as it was.
+CSV tables are written and read a column at a time, ``CHUNK_ROWS`` rows at a
+time, so a read holds about the file's bytes plus the parsed columns. Text
+cells (ids, group tags) are quoted exactly as ``csv.writer`` quotes them. A
+file that is not plain (printable ASCII lines, no quotes, no blank lines), or
+that the column parse rejects in any chunk, is read again line by line with
+the ``csv`` module, and that scan alone decides what the file holds or which
+error it raises. Every file is written to a sibling temp file that then
+replaces the target, so a failed write leaves the target as it was.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ MODEL_FORMAT = "uqregress-model-v1"
 ENSEMBLE_FORMAT = "uqregress-ensemble-v1"
 MANIFEST_FORMAT = "uqregress-manifest-v1"
 
-CHUNK_ROWS = 65536  # CSV rows formatted per write
+CHUNK_ROWS = 16384  # CSV rows formatted per write and parsed per read
+_SCAN_BYTES = 1 << 20  # bytes compared at a time when searching for a newline or comma
 # characters that can make csv.writer quote a field; such fields go through csv itself
 _QUOTE_TRIGGER = re.compile('[,"\r\n\x00]')
 # the bytes a plain CSV file may hold: printable ASCII except '"', and '\n'
@@ -158,49 +160,78 @@ def _scan_rows(path: Path, data: bytes, layout) -> tuple[list[str], list]:
     return header, [c if j in text_cols else _floats(c) for j, c in enumerate(columns)]
 
 
+def _offsets(raw: np.ndarray, byte: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Offsets of ``byte`` in ``raw[lo:hi]``, searched a fixed-size block at a time."""
+    hi = raw.size if hi is None else min(hi, raw.size)
+    return np.concatenate([np.flatnonzero(raw[b:min(b + _SCAN_BYTES, hi)] == byte) + b
+                           for b in range(lo, hi, _SCAN_BYTES)])
+
+
+def _parse_chunk(data: bytes, ends: np.ndarray, float_cols: list[int], text_cols: set[int],
+                 out: np.ndarray) -> dict[int, list[str]] | None:
+    """Parse the lines that end at ``ends[1:]``, the first right after ``ends[0]``.
+
+    Their float fields fill ``out`` and their text fields are returned by
+    column index; None if one of the lines needs the line scan.
+    """
+    m, k = ends.size - 1, len(float_cols) + len(text_cols) - 1
+    start = int(ends[0]) + 1
+    # every line must hold exactly as many commas as the header
+    commas = _offsets(np.frombuffer(data, dtype=np.uint8), 0x2C, start, int(ends[-1]))
+    if commas.size != k * m:
+        return None
+    commas = commas.reshape(m, k)
+    if not ((commas[:, -1] < ends[1:]).all() and (commas[1:, 0] > ends[1:-1]).all()):
+        return None
+    stream = BytesIO(data)  # shares the bytes of data
+    stream.seek(start)
+    with TextIOWrapper(stream, encoding="ascii") as lines:
+        try:
+            values = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
+                                usecols=float_cols, ndmin=2, max_rows=m)
+        except ValueError:
+            return None
+    if values.shape != out.shape:
+        return None
+    out[...] = values
+    # field j of a line runs from its start or comma j - 1 up to comma j or its end
+    return {j: [data[a:b].decode() for a, b in zip(
+                memoryview((ends[:-1] if j == 0 else commas[:, j - 1]) + 1),
+                memoryview(ends[1:] if j == k else commas[:, j]))]
+            for j in text_cols}
+
+
 def _column_parse(path: Path, data: bytes, layout) -> tuple[list[str], list] | None:
-    """Header and columns of a plain file, or None if it needs the line scan."""
+    """Header and columns of a plain file, or None if it needs the line scan.
+
+    The body is checked and parsed ``CHUNK_ROWS`` lines at a time into
+    preallocated columns, so beyond ``data`` and the parsed columns only one
+    chunk's temporaries are alive.
+    """
     if not data or data[0] == 0x0A or b"\n\n" in data or data.translate(None, _PLAIN_BYTES):
         return None
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    raw = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(raw == 0x0A)
+    ends = _offsets(np.frombuffer(data, dtype=np.uint8), 0x0A)
+    if data[-1] != 0x0A:
+        ends = np.append(ends, len(data))  # the last line ends at the end of the file
     if int(np.diff(ends, prepend=-1).max()) > csv.field_size_limit():
         return None  # csv.reader would reject a field this long
     header = data[:ends[0]].decode("ascii").split(",")
     text_cols = layout(path, header)
-    # every line must hold exactly as many commas as the header
-    k = len(header) - 1
-    commas = np.flatnonzero(raw == 0x2C)
-    if commas.size != k * ends.size:
-        return None
-    commas = commas.reshape(ends.size, k)
-    if not ((commas[:, -1] < ends).all() and (commas[1:, 0] > ends[:-1]).all()):
-        return None
     n = ends.size - 1
     if n == 0:
         return None  # header only: the scan is as cheap
     float_cols = [j for j in range(len(header)) if j not in text_cols]
-    try:
-        values = np.loadtxt(TextIOWrapper(BytesIO(data), encoding="ascii"), dtype=np.float64,
-                            delimiter=",", comments=None, skiprows=1, usecols=float_cols, ndmin=2)
-    except ValueError:
-        return None
-    if values.shape != (n, len(float_cols)):
-        return None
-
-    text = data.decode("ascii")
-    # field j of row i spans edges[i, j] up to the byte before edges[i, j + 1]
-    edges = np.column_stack((ends[:-1] + 1, commas[1:] + 1, ends[1:] + 1))
-    columns = []
-    for j in range(len(header)):
-        if j in text_cols:
-            columns.append([text[a:b] for a, b in zip(edges[:, j].tolist(),
-                                                      (edges[:, j + 1] - 1).tolist())])
-        else:
-            columns.append(values[:, float_cols.index(j)])
-    return header, columns
+    values = np.empty((n, len(float_cols)), dtype=np.float64)
+    texts = {j: [] for j in text_cols}
+    for lo in range(0, n, CHUNK_ROWS):
+        cells = _parse_chunk(data, ends[lo:lo + CHUNK_ROWS + 1], float_cols, text_cols,
+                             values[lo:lo + CHUNK_ROWS])
+        if cells is None:
+            return None
+        for j, column in cells.items():
+            texts[j] += column
+    return header, [texts[j] if j in text_cols else values[:, float_cols.index(j)]
+                    for j in range(len(header))]
 
 
 def _read_columns_csv(path, layout) -> tuple[list[str], list]:

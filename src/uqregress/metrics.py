@@ -73,6 +73,7 @@ class DistributionSummary:
     densities: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")  # finite inputs above ~1e154 give inf/nan
 def accuracy(p: PredictionSet) -> AccuracyReport:
     """Accuracy portfolio of mu against y_true.
 
@@ -101,8 +102,7 @@ def accuracy(p: PredictionSet) -> AccuracyReport:
         pearson = math.nan
         errors = ("ConstantTarget",)
     else:
-        with np.errstate(over="ignore"):  # a subnormal ss_tot gives R² = -inf
-            r2 = float(1.0 - np.sum((y - yhat) ** 2) / ss_tot)
+        r2 = float(1.0 - np.sum((y - yhat) ** 2) / ss_tot)  # -inf for a subnormal ss_tot
         sd_yhat = float(np.std(yhat))
         if sd_yhat == 0.0:
             pearson = math.nan
@@ -122,6 +122,7 @@ def accuracy(p: PredictionSet) -> AccuracyReport:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sharpness(p: PredictionSet) -> float:
     """Root mean square of the predicted sigmas."""
     if p.n < 1:
@@ -129,6 +130,7 @@ def sharpness(p: PredictionSet) -> float:
     return float(np.sqrt(np.mean(p.sigma**2)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _dispersion_of(values: np.ndarray) -> DispersionReport:
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size < 2:
@@ -159,6 +161,7 @@ def dispersion(p: PredictionSet) -> DispersionReport:
     return _dispersion_of(p.sigma)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def grouped_metrics(p: PredictionSet) -> dict[str, GroupMetrics]:
     """Metrics computed independently for each group tag, in sorted-tag order.
 

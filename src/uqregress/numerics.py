@@ -240,6 +240,7 @@ def brent_minimize(f, lo: float, hi: float, tol: float = 1e-6, max_iter: int = 2
     return BrentResult(argmin=x, value=value, iterations=num, converged=converged)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # finite inputs above ~1e154 give inf/nan
 def scott_bandwidth(samples: np.ndarray) -> float:
     """Scott's-rule bandwidth: sample_std(ddof=1) * n**(-1/5)."""
     samples = np.asarray(samples, dtype=np.float64).ravel()
@@ -252,6 +253,7 @@ def scott_bandwidth(samples: np.ndarray) -> float:
     return sd * n ** (-0.2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def kde_scott(samples, eval_points) -> np.ndarray:
     """Gaussian kernel density estimate with Scott's-rule bandwidth.
 
@@ -265,7 +267,7 @@ def kde_scott(samples, eval_points) -> np.ndarray:
     h = scott_bandwidth(samples)
     out = np.zeros(grid.size, dtype=np.float64)
     # chunk over the grid so n_samples x n_grid never materializes at once
-    step = max(1, int(4e6 // max(1, samples.size)))
+    step = max(1, int(1e6 // max(1, samples.size)))
     for start in range(0, grid.size, step):
         g = grid[start : start + step]
         t = (g[:, None] - samples[None, :]) / h

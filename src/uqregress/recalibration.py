@@ -50,11 +50,13 @@ def _check_scalar(s: float) -> float:
     return float(s)
 
 
+@np.errstate(over="ignore")  # a huge sigma times s is +inf, which validation rejects
 def apply_scalar(p: PredictionSet, s: float) -> PredictionSet:
     """Multiply every sigma by ``s``; mu and y_true are untouched."""
     return p.with_sigma(p.sigma * _check_scalar(s))
 
 
+@np.errstate(over="ignore")
 def fit_scalar(
     p: PredictionSet,
     bracket_lo: float = 1e-3,

@@ -25,6 +25,7 @@ class IntervalScoreReport:
     per_point_scores: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")  # finite inputs above ~1e154 give inf/nan
 def interval_score(p: PredictionSet) -> IntervalScoreReport:
     """Negatively oriented mean interval score of a prediction set.
 

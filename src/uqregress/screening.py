@@ -51,6 +51,7 @@ class ScreenReport:
         return len(self.dishonest_ids)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # finite inputs above ~1e154 give inf/nan
 def screen(p: PredictionSet, c: ScreenCriteria) -> ScreenReport:
     """Select value_lo <= mu <= value_hi and sigma <= sigma_max; audit honesty.
 
@@ -66,6 +67,7 @@ def screen(p: PredictionSet, c: ScreenCriteria) -> ScreenReport:
     return ScreenReport(selected_ids=sel_ids, honest_ids=honest_ids, dishonest_ids=dishonest_ids)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def honesty_rate(p: PredictionSet, multiplier: float) -> float:
     """Fraction of all points whose mu ± multiplier*sigma covers y_true."""
     validate_prediction_set(p)

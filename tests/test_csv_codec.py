@@ -9,6 +9,7 @@ import json
 import re
 import tempfile
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 
 import csv_reference as ref
 from uqregress import io
-from uqregress.core import PredictionSet
-from uqregress.errors import NonFiniteValueError
+from uqregress.core import PredictionSet, validate_prediction_set
+from uqregress.errors import DuplicateIdError, NonFiniteValueError
 
 SPECIAL_FLOATS = (
     5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1e-310,
@@ -31,6 +32,7 @@ floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(width=64))
 plain_text = st.text(alphabet="abcXYZ019_-. #", max_size=6)
 any_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6)
 texts = st.one_of(st.sampled_from(SPECIAL_TEXT), plain_text, any_text)
+SMALL_CHUNKS = (2, 7)  # CHUNK_ROWS values that put chunk boundaries inside small files
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -175,6 +177,68 @@ def test_fuzzed_bodies_match_reference(lines, header):
         path.write_bytes(header + "\n".join(lines).encode())
         assert _outcome(io.read_predictions_csv, path) == _outcome(ref.read_predictions_csv, path)
         assert _outcome(io.read_dataset_csv, path) == _outcome(ref.read_dataset_csv, path)
+
+
+@pytest.mark.parametrize("chunk_rows", SMALL_CHUNKS)
+@pytest.mark.parametrize("content", MALFORMED, ids=range(len(MALFORMED)))
+def test_malformed_corpus_matches_reference_in_small_chunks(tmp_path, monkeypatch, content,
+                                                            chunk_rows):
+    monkeypatch.setattr(io, "CHUNK_ROWS", chunk_rows)
+    path = tmp_path / "case.csv"
+    path.write_bytes(content)
+    assert _outcome(io.read_predictions_csv, path) == _outcome(ref.read_predictions_csv, path)
+    assert _outcome(io.read_dataset_csv, path) == _outcome(ref.read_dataset_csv, path)
+
+
+@SETTINGS
+@given(st.lists(st.text(alphabet='0123456789.,e-+na_ x"#\n\r\x1c', max_size=14), max_size=16),
+       st.sampled_from([PRED, DATA, b"id,x0,y\n"]), st.sampled_from(SMALL_CHUNKS))
+def test_fuzzed_bodies_match_reference_in_small_chunks(lines, header, chunk_rows):
+    with patch.object(io, "CHUNK_ROWS", chunk_rows), tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "fuzz.csv")
+        path.write_bytes(header + "\n".join(lines).encode())
+        assert _outcome(io.read_predictions_csv, path) == _outcome(ref.read_predictions_csv, path)
+        assert _outcome(io.read_dataset_csv, path) == _outcome(ref.read_dataset_csv, path)
+
+
+LATE_ROW = 24  # a data row in a later chunk for every SMALL_CHUNKS size; file line 26
+
+
+@pytest.mark.parametrize("chunk_rows", SMALL_CHUNKS)
+@pytest.mark.parametrize("fault", [None, "bad cell", "field count", "duplicate id"])
+@pytest.mark.parametrize("header", [PRED, DATA], ids=["pred", "data"])
+def test_fault_in_a_later_chunk_matches_reference(tmp_path, monkeypatch, chunk_rows, fault, header):
+    monkeypatch.setattr(io, "CHUNK_ROWS", chunk_rows)
+    names = header.decode().split()[0].split(",")
+    rows = [[f"r{i}"] + [f"g{i % 3}" if c == "group" else repr(i / (j + 3))
+                         for j, c in enumerate(names[1:])] for i in range(30)]
+    if fault == "bad cell":
+        rows[LATE_ROW][1] = "oops"
+    elif fault == "field count":
+        rows[LATE_ROW].pop()
+    elif fault == "duplicate id":
+        rows[LATE_ROW][0] = "r3"
+    path = tmp_path / "late.csv"
+    path.write_bytes(header + "".join(",".join(r) + "\n" for r in rows).encode())
+    read, reference = ((io.read_predictions_csv, ref.read_predictions_csv) if header == PRED
+                       else (io.read_dataset_csv, ref.read_dataset_csv))
+    got = _outcome(read, path)
+    assert got == _outcome(reference, path)
+    line = f"{path}:{LATE_ROW + 2}: "
+    if fault is None:  # the column parse takes the file, one chunk at a time
+        layout = io._prediction_text_cols if header == PRED else io._dataset_text_cols
+        with patch.object(io, "_parse_chunk", wraps=io._parse_chunk) as parse_chunk:
+            assert io._column_parse(path, path.read_bytes(), layout) is not None
+        assert parse_chunk.call_count == -(-len(rows) // chunk_rows)
+    elif fault == "bad cell":
+        assert got[2] == f"{line}column {names[1]!r}: 'oops' is not a number"
+    elif fault == "field count":
+        assert got[2] == f"{line}expected {len(names)} fields, got {len(names) - 1}"
+    elif header == DATA:
+        assert got[2] == f"duplicate id 'r3' at row {LATE_ROW}"
+    else:  # a prediction CSV's ids are checked when the set is validated
+        with pytest.raises(DuplicateIdError, match=f"duplicate id 'r3' at index {LATE_ROW}$"):
+            validate_prediction_set(read(path))
 
 
 def test_plain_file_takes_the_column_parse(tmp_path):

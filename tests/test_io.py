@@ -1,5 +1,7 @@
 """CSV/JSON round trips, parse errors with line numbers, checkpoints, manifests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,21 @@ class TestPredictionsCsv:
         path.write_text("id,y_true,y_pred,sigma\nr0,1.0,1.0\n")
         with pytest.raises(FileParseError, match="pred.csv:2"):
             io.read_predictions_csv(path)
+
+    def test_read_peak_is_about_file_plus_set(self, tmp_path):
+        """The column parse holds one chunk's temporaries beside the bytes and the set."""
+        n = 200_000
+        assert n > 3 * io.CHUNK_ROWS
+        path = tmp_path / "pred.csv"
+        io.write_predictions_csv(path, gaussian_null(n, seed=3))
+        tracemalloc.start()
+        try:
+            back = io.read_predictions_csv(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.n == n
+        assert peak < 1.3 * (path.stat().st_size + retained)
 
 
 class TestCheckpoints:

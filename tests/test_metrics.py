@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqregress.errors import DomainError, MissingGroupsError
+from uqregress.errors import DomainError, MissingGroupsError, UqError
 from uqregress.metrics import (
     accuracy,
     dispersion,
@@ -15,6 +15,10 @@ from uqregress.metrics import (
     grouped_metrics,
     sharpness,
 )
+from uqregress.recalibration import apply_scalar, fit_scalar
+from uqregress.report import evaluate
+from uqregress.scoring import interval_score
+from uqregress.screening import ScreenCriteria, honesty_rate, screen
 
 from conftest import make_pset
 
@@ -188,3 +192,36 @@ class TestDistributionSummary:
         summary = distribution_summary(values, grid)
         mode = grid[np.argmax(summary.densities)]
         assert abs(mode - np.median(values)) < 0.25
+
+
+EXTREME = st.one_of(
+    st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308, 1e200, -1e160, 1.5e154,
+                     5e-324, -5e-324, 0.0, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.lists(st.tuples(EXTREME, EXTREME, EXTREME.map(abs)),
+                                                     min_size=n, max_size=n)))
+def test_extreme_finite_inputs_warn_nothing(rows):
+    """Library calls on finite values up to the float limits raise no RuntimeWarning.
+
+    Overflow gives inf or NaN in a result, as it does under the CLI; tier-1
+    turns any numpy RuntimeWarning into an error.
+    """
+    y, mu, sigma = (list(c) for c in zip(*rows))
+    p = make_pset(y, mu, sigma, groups=tuple("ab"[i % 2] for i in range(len(rows))))
+    calls = (
+        accuracy, sharpness, dispersion, grouped_metrics, interval_score,
+        lambda p: distribution_summary(p.sigma, np.linspace(0.0, 1e308, 7)),
+        lambda p: screen(p, ScreenCriteria(-1e308, 1e308, 1e308)),
+        lambda p: honesty_rate(p, 3.0),
+        lambda p: apply_scalar(p, 1e3),
+        fit_scalar, evaluate,
+    )
+    for call in calls:
+        try:
+            call(p)
+        except UqError:  # a degenerate or overflowing set may be refused, but not warned about
+            pass

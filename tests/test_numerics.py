@@ -8,10 +8,12 @@ import pytest
 
 from uqregress.errors import DegenerateSampleError, DomainError
 from uqregress.numerics import (
+    _SQRT_2PI,
     brent_minimize,
     digamma,
     kde_scott,
     log_gamma,
+    scott_bandwidth,
     std_normal_cdf,
     std_normal_quantile,
 )
@@ -209,6 +211,15 @@ class TestKdeScott:
         left = kde_scott(samples, [-1.7, -0.9, -0.2])
         right = kde_scott(samples, [1.7, 0.9, 0.2])
         np.testing.assert_allclose(left, right, atol=1e-9)
+
+    def test_grid_chunks_change_no_bit(self, rng):
+        """Chunked over the grid, the densities equal those taken one point at a time."""
+        samples = rng.gamma(2.0, 0.5, 20_000)  # 50 grid points per chunk
+        grid = np.linspace(-1.0, 8.0, 123)
+        h = scott_bandwidth(samples)
+        one_by_one = [np.exp(-0.5 * t * t).sum() / (samples.size * h * _SQRT_2PI)
+                      for t in ((g - samples) / h for g in grid)]
+        np.testing.assert_array_equal(kde_scott(samples, grid), one_by_one)
 
     def test_integrates_to_one(self, rng):
         samples = rng.normal(3.0, 2.0, 500)
