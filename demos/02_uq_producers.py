@@ -14,9 +14,10 @@ from uqregress.neural import MlpConfig, TrainConfig, MlpModel, train
 from uqregress.uq_methods import (
     DropoutSpec,
     EnsembleSpec,
+    ensemble_predict,
     evidential_predict,
-    kfold_ensemble_predict,
     mc_dropout_predict,
+    train_kfold_members,
 )
 
 train_data = uq.generate_synthetic(4000, 3, RngSeed(11)).dataset
@@ -24,11 +25,12 @@ test_data = uq.generate_synthetic(1500, 3, RngSeed(12)).dataset
 fit = dict(epochs=80, batch_size=128, learning_rate=0.01, seed=RngSeed(1))
 
 print("training 5-fold ensemble ...")
-ensemble = kfold_ensemble_predict(train_data, test_data, EnsembleSpec(
+members = train_kfold_members(train_data, EnsembleSpec(
     k=5,
     mlp=MlpConfig((3, 32, 1), activation="relu", seed=RngSeed(2)),
     train=TrainConfig(**fit),
 ))
+ensemble = ensemble_predict(members, test_data)
 
 print("training dropout network, sampling 1000 masked passes ...")
 drop_model = MlpModel.initialize(MlpConfig((3, 32, 1), activation="relu",

@@ -49,9 +49,10 @@ from .screening import ScreenCriteria, ScreenReport, honesty_rate, screen
 from .uq_methods import (
     DropoutSpec,
     EnsembleSpec,
+    ensemble_predict,
     evidential_predict,
-    kfold_ensemble_predict,
     mc_dropout_predict,
+    train_kfold_members,
 )
 
 __all__ = [
@@ -82,6 +83,7 @@ __all__ = [
     "digamma",
     "dispersion",
     "distribution_summary",
+    "ensemble_predict",
     "evaluate",
     "evidential_predict",
     "fit_scalar",
@@ -90,7 +92,6 @@ __all__ = [
     "honesty_rate",
     "interval_score",
     "kde_scott",
-    "kfold_ensemble_predict",
     "log_gamma",
     "loss_and_gradient",
     "mc_dropout_predict",
@@ -104,5 +105,6 @@ __all__ = [
     "std_normal_cdf",
     "std_normal_quantile",
     "train",
+    "train_kfold_members",
     "validate_prediction_set",
 ]

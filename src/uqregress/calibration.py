@@ -159,7 +159,7 @@ def adversarial_group_calibration(
     if trials < 1 or subgroups < 1:
         raise DomainError("trials and subgroups must be >= 1")
 
-    z = normalized_residuals(p)
+    z = _residual_ratio(p)
     used = p.sigma > 0.0
     all_used = bool(used.all())
     if not used.any():

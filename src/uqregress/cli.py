@@ -49,14 +49,14 @@ _RECAL_SPLIT_NS = 41
 METHODS = ("ensemble", "dropout", "evidential")
 
 
-def _widths(dim: int, hidden: str, out_width: int) -> tuple[int, ...]:
+def _hidden(text: str) -> tuple[int, ...]:
     try:
-        hid = tuple(int(w) for w in hidden.split(",") if w.strip())
+        hid = tuple(int(w) for w in text.split(",") if w.strip())
     except ValueError as exc:
-        raise DomainError(f"--hidden must be comma-separated integers, got {hidden!r}") from exc
+        raise DomainError(f"--hidden must be comma-separated integers, got {text!r}") from exc
     if not hid:
         raise DomainError("--hidden must name at least one hidden layer")
-    return (dim, *hid, out_width)
+    return hid
 
 
 def _fractions(text: str) -> list[float]:
@@ -94,11 +94,12 @@ def cmd_generate(args, written: list[str]) -> None:
 
 
 def cmd_train(args, written: list[str]) -> None:
+    hidden = _hidden(args.hidden)  # a bad value fails before the CSV is read
     data = _read_train_dataset(args.train)
     base = RngSeed(args.seed)
     evidential = args.method == "evidential"
     mlp = MlpConfig(
-        layer_widths=_widths(data.dim, args.hidden, 4 if evidential else 1),
+        layer_widths=(data.dim, *hidden, 4 if evidential else 1),
         activation=args.activation,
         dropout_rate=args.dropout_rate if args.method == "dropout" else 0.0,
         seed=base.derive(_MODEL_INIT_NS),

@@ -9,6 +9,7 @@ adversarial trials, dropout masks) draw without coordination.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,7 +126,7 @@ def _check_unique(ids: tuple[str, ...], unit: str) -> None:
             seen.add(rid)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def _freeze(a) -> np.ndarray:
     a = np.array(a, dtype=np.float64, copy=True)
     a.flags.writeable = False
     return a
@@ -147,11 +148,8 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ids", tuple(map(str, self.ids)))
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 2:
-            feats = np.atleast_2d(feats)
-        object.__setattr__(self, "features", _freeze(feats))
-        object.__setattr__(self, "targets", _freeze(np.asarray(self.targets, dtype=np.float64).ravel()))
+        object.__setattr__(self, "features", _freeze(np.atleast_2d(self.features)))
+        object.__setattr__(self, "targets", _freeze(np.ravel(self.targets)))
         if self.groups is not None:
             object.__setattr__(self, "groups", tuple(map(str, self.groups)))
         n = len(self.ids)
@@ -180,12 +178,23 @@ class LabeledDataset:
     def subset(self, indices) -> "LabeledDataset":
         """Row subset (preserving the given order)."""
         idx = np.asarray(indices, dtype=np.intp)
+        rows = idx.tolist()
         return LabeledDataset(
-            ids=tuple(self.ids[i] for i in idx),
+            ids=tuple(map(self.ids.__getitem__, rows)),
             features=self.features[idx],
             targets=self.targets[idx],
-            groups=None if self.groups is None else tuple(self.groups[i] for i in idx),
+            groups=None if self.groups is None else tuple(map(self.groups.__getitem__, rows)),
         )
+
+
+@dataclass(frozen=True)
+class DatasetFile:
+    """A dataset with its dimension and, where known, each row's true noise
+    std; ``dataset`` is None when there are no rows."""
+
+    dataset: LabeledDataset | None
+    true_sigma: np.ndarray | None
+    dim: int
 
 
 @dataclass(frozen=True)
@@ -205,7 +214,7 @@ class PredictionSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "ids", tuple(map(str, self.ids)))
         for name in ("y_true", "mu", "sigma"):
-            object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), dtype=np.float64).ravel()))
+            object.__setattr__(self, name, _freeze(np.ravel(getattr(self, name))))
         if self.groups is not None:
             object.__setattr__(self, "groups", tuple(map(str, self.groups)))
 
@@ -214,7 +223,10 @@ class PredictionSet:
         return len(self.ids)
 
     def with_sigma(self, sigma) -> "PredictionSet":
-        return PredictionSet(self.ids, self.y_true, self.mu, sigma, self.groups)
+        """This set with ``sigma`` replaced; the other columns are shared, not copied."""
+        p = copy.copy(self)
+        object.__setattr__(p, "sigma", _freeze(np.ravel(sigma)))
+        return p
 
     def subset(self, indices) -> "PredictionSet":
         idx = np.asarray(indices, dtype=np.intp)

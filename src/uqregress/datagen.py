@@ -9,11 +9,9 @@ constructed exactly — the oracle behind all calibration-null tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import LabeledDataset, PredictionSet, RngSeed
+from .core import DatasetFile, LabeledDataset, PredictionSet, RngSeed
 from .errors import DomainError
 
 NOISE_FLOOR = 0.05
@@ -36,14 +34,7 @@ def noise_std(features: np.ndarray) -> np.ndarray:
     return NOISE_FLOOR + NOISE_SLOPE * np.abs(X[:, 0])
 
 
-@dataclass(frozen=True)
-class SyntheticData:
-    dataset: LabeledDataset | None  # None when n == 0
-    true_sigma: np.ndarray
-    dim: int
-
-
-def generate_synthetic(n: int, dim: int, seed: RngSeed, n_groups: int = 0) -> SyntheticData:
+def generate_synthetic(n: int, dim: int, seed: RngSeed, n_groups: int = 0) -> DatasetFile:
     """Draw n labeled rows; optional equal-width group tags on x0.
 
     Deterministic for a given (n, dim, seed, n_groups).
@@ -55,7 +46,7 @@ def generate_synthetic(n: int, dim: int, seed: RngSeed, n_groups: int = 0) -> Sy
     if n_groups < 0:
         raise DomainError(f"n_groups must be >= 0, got {n_groups}")
     if n == 0:
-        return SyntheticData(dataset=None, true_sigma=np.empty(0), dim=dim)
+        return DatasetFile(dataset=None, true_sigma=np.empty(0), dim=dim)
     rng = seed.generator()
     X = rng.uniform(-3.0, 3.0, size=(n, dim))
     sigma = noise_std(X)
@@ -70,10 +61,10 @@ def generate_synthetic(n: int, dim: int, seed: RngSeed, n_groups: int = 0) -> Sy
         targets=y,
         groups=groups,
     )
-    return SyntheticData(dataset=ds, true_sigma=sigma, dim=dim)
+    return DatasetFile(dataset=ds, true_sigma=sigma, dim=dim)
 
 
-def calibrated_prediction_set(data: SyntheticData) -> PredictionSet:
+def calibrated_prediction_set(data: DatasetFile) -> PredictionSet:
     """The oracle PredictionSet: mu = true surface, sigma = true noise std."""
     if data.dataset is None:
         raise DomainError("cannot build predictions from an empty dataset")

@@ -54,7 +54,6 @@ def head_transform_derivatives(raw: np.ndarray) -> np.ndarray:
 
 def nll_array(gamma, nu, alpha, beta, y) -> np.ndarray:
     """Per-sample negative log-likelihood of the evidence distribution."""
-    gamma, nu, alpha, beta, y = np.broadcast_arrays(gamma, nu, alpha, beta, y)
     omega = 2.0 * beta * (1.0 + nu)
     a_term = (y - gamma) ** 2 * nu + omega
     return (
@@ -68,7 +67,6 @@ def nll_array(gamma, nu, alpha, beta, y) -> np.ndarray:
 
 def nll_gradients(gamma, nu, alpha, beta, y) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(d/dgamma, d/dnu, d/dalpha, d/dbeta) of the per-sample NLL."""
-    gamma, nu, alpha, beta, y = np.broadcast_arrays(gamma, nu, alpha, beta, y)
     r = y - gamma
     omega = 2.0 * beta * (1.0 + nu)
     a_term = r * r * nu + omega
@@ -81,13 +79,11 @@ def nll_gradients(gamma, nu, alpha, beta, y) -> tuple[np.ndarray, np.ndarray, np
 
 def regularizer_array(gamma, nu, alpha, y) -> np.ndarray:
     """Per-sample evidence regularizer |y - gamma| * (2*nu + alpha)."""
-    gamma, nu, alpha, y = np.broadcast_arrays(gamma, nu, alpha, y)
     return np.abs(y - gamma) * (2.0 * nu + alpha)
 
 
 def regularizer_gradients(gamma, nu, alpha, y) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(d/dgamma, d/dnu, d/dalpha, d/dbeta) of the regularizer."""
-    gamma, nu, alpha, y = np.broadcast_arrays(gamma, nu, alpha, y)
     r = y - gamma
     d_gamma = -np.sign(r) * (2.0 * nu + alpha)
     d_nu = 2.0 * np.abs(r)
@@ -101,7 +97,6 @@ def uncertainty_channels(nu, alpha, beta, apply_sqrt: bool = False) -> tuple[np.
     The expressions are used verbatim as standard deviations by default;
     ``apply_sqrt=True`` treats them as variances and returns their roots.
     """
-    nu, alpha, beta = np.broadcast_arrays(nu, alpha, beta)
     aleatoric = beta / (alpha - 1.0)
     epistemic = beta / (nu * (alpha - 1.0))
     if apply_sqrt:

@@ -24,14 +24,13 @@ import os
 import re
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from io import BytesIO, StringIO, TextIOWrapper
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .core import LabeledDataset, PredictionSet, RngSeed
+from .core import DatasetFile, LabeledDataset, PredictionSet, RngSeed
 from .errors import (FileParseError, LengthMismatchError, NonFiniteValueError, ReportSchemaError,
                      UqError)
 from .neural import MlpConfig, MlpModel
@@ -218,8 +217,6 @@ def _column_parse(path: Path, data: bytes, layout) -> tuple[list[str], list] | N
     header = data[:ends[0]].decode("ascii").split(",")
     text_cols = layout(path, header)
     n = ends.size - 1
-    if n == 0:
-        return None  # header only: the scan is as cheap
     float_cols = [j for j in range(len(header)) if j not in text_cols]
     values = np.empty((n, len(float_cols)), dtype=np.float64)
     texts = {j: [] for j in text_cols}
@@ -250,15 +247,6 @@ def _read_columns_csv(path, layout) -> tuple[list[str], list]:
 
 
 # --- dataset CSV ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DatasetFile:
-    """Parsed dataset CSV; ``dataset`` is None for a header-only file."""
-
-    dataset: LabeledDataset | None
-    true_sigma: np.ndarray | None
-    dim: int
-
 
 def write_dataset_csv(
     path,

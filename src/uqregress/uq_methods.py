@@ -63,41 +63,17 @@ class DropoutSpec:
             raise DomainError(f"dropout rate must be in [0, 0.5], got {self.rate}")
 
 
-def aggregate_member_predictions(
-    test: LabeledDataset, member_outputs: np.ndarray
-) -> PredictionSet:
-    """mu = member mean, sigma = Bessel-corrected member std, per test point."""
-    outputs = np.asarray(member_outputs, dtype=np.float64)
-    if outputs.ndim != 2 or outputs.shape[1] != test.n:
-        raise DomainError(f"expected (k, {test.n}) member outputs, got {outputs.shape}")
-    if outputs.shape[0] < 2:
-        raise DomainError("need >= 2 members for a std")
-    return PredictionSet(
-        ids=test.ids,
-        y_true=test.targets,
-        mu=outputs.mean(axis=0),
-        sigma=outputs.std(axis=0, ddof=1),
-        groups=test.groups,
-    )
-
-
 def train_kfold_members(train_data: LabeledDataset, spec: EnsembleSpec) -> list[MlpModel]:
     """Train the k fold-assigned ensemble members (independent seeds each)."""
     folds = split_k_folds(train_data, spec.k, spec.train.seed.derive(_FOLD_NS))
+    row = {rid: i for i, rid in enumerate(train_data.ids)}  # ids are unique
     members = []
     for i in range(spec.k):
         if spec.member_training == "one_fold_each":
             member_data = folds[i]
-        else:
-            rest = [f for j, f in enumerate(folds) if j != i]
-            member_data = LabeledDataset(
-                ids=tuple(rid for f in rest for rid in f.ids),
-                features=np.vstack([f.features for f in rest]),
-                targets=np.concatenate([f.targets for f in rest]),
-                groups=None
-                if train_data.groups is None
-                else tuple(g for f in rest for g in f.groups),
-            )
+        else:  # the other folds' rows, in fold order
+            member_data = train_data.subset(
+                [row[rid] for j, f in enumerate(folds) if j != i for rid in f.ids])
         if member_data.n < 2:
             raise FoldTooSmallError(
                 f"member {i} would train on {member_data.n} sample(s); "
@@ -111,18 +87,15 @@ def train_kfold_members(train_data: LabeledDataset, spec: EnsembleSpec) -> list[
 
 
 def ensemble_predict(members: list[MlpModel], test: LabeledDataset) -> PredictionSet:
-    """Aggregate trained members' deterministic predictions on a test set."""
+    """Aggregate trained members' deterministic predictions on a test set:
+    mu = member mean, sigma = Bessel-corrected member std, per test point."""
+    if len(members) < 2:
+        raise DomainError("need >= 2 members for a std")
     outputs = np.empty((len(members), test.n))
     for i, model in enumerate(members):
         outputs[i] = predict(model, test.features)[:, 0]
-    return aggregate_member_predictions(test, outputs)
-
-
-def kfold_ensemble_predict(
-    train_data: LabeledDataset, test: LabeledDataset, spec: EnsembleSpec
-) -> PredictionSet:
-    """Train k fold-assigned members and aggregate their test predictions."""
-    return ensemble_predict(train_kfold_members(train_data, spec), test)
+    return PredictionSet(test.ids, test.targets, outputs.mean(axis=0), outputs.std(axis=0, ddof=1),
+                         test.groups)
 
 
 def _mc_forward(m: MlpModel, hidden0: np.ndarray, rate: float, seed: RngSeed, sample: int,

@@ -357,6 +357,17 @@ class TestMalformedCheckpoint:
         _one_error_line(capsys, str(model), key)
         assert not (tmp_path / "out").exists() or list((tmp_path / "out").iterdir()) == []
 
+    def test_one_member_ensemble(self, workspace, tmp_path, capsys):
+        # a checkpoint can hold one member, but a std needs two
+        d = json.loads(workspace["models"]["ensemble"].read_text())
+        d["k"], d["members"] = 1, d["members"][:1]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(d))
+        assert run("predict", "--method", "ensemble", "--model", model,
+                   "--test", workspace["data"] / "test.csv", "--out", tmp_path / "p.csv") == 1
+        _one_error_line(capsys, "need >= 2 members")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
     @pytest.mark.parametrize("body, needle", [(b"[1, 2]\n", "JSON object"),
                                               (b"\xff\xfe{}", "UTF-8")])
     def test_not_an_object(self, workspace, tmp_path, capsys, body, needle):
@@ -466,6 +477,12 @@ class TestUnwritableInputs:
         assert run("train", "--method", "dropout", "--train", workspace["data"] / "train.csv",
                    "--out", out, "--hidden", 4, "--epochs", 3, "--learning-rate", 1e308) == 1
         _one_error_line(capsys, "non-finite parameters in layer 0 at epoch 0, step 0")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_hidden_fails_before_the_training_csv_is_read(self, tmp_path, capsys):
+        assert run("train", "--method", "dropout", "--train", tmp_path / "missing.csv",
+                   "--out", tmp_path / "m.json", "--hidden", "8,x") == 1
+        _one_error_line(capsys, "--hidden must be comma-separated integers, got '8,x'")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("learning_rate, needles", [

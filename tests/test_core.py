@@ -63,6 +63,27 @@ class TestValidatePredictionSet:
         assert validate_prediction_set(p) is p
 
 
+class TestWithSigma:
+    def test_shares_the_other_columns_and_leaves_the_parent(self):
+        p = make_pset([1.0, 2.0, 3.0], [1.1, 2.1, 2.9], [0.1, 0.2, 0.3], groups=("a", "b", "a"))
+        q = p.with_sigma([0.5, 1.0, 1.5])
+        assert q.ids is p.ids and q.groups is p.groups
+        assert np.shares_memory(q.y_true, p.y_true) and np.shares_memory(q.mu, p.mu)
+        np.testing.assert_array_equal(q.sigma, [0.5, 1.0, 1.5])
+        np.testing.assert_array_equal(p.sigma, [0.1, 0.2, 0.3])
+        for a in (q.y_true, q.mu, q.sigma):
+            assert a.dtype == np.float64 and not a.flags.writeable
+
+    def test_sigma_is_a_frozen_copy_of_the_argument(self):
+        p = make_pset([1.0, 2.0], [1.0, 2.0], [0.1, 0.1])
+        sigma = np.array([[0.3], [0.4]])
+        q = p.with_sigma(sigma)
+        sigma[0, 0] = 9.0
+        assert q.sigma.shape == (2,) and q.sigma[0] == 0.3
+        with pytest.raises(ValueError):
+            q.sigma[0] = 1.0
+
+
 class TestRowMessages:
     """Datasets and prediction sets name the first bad row word for word."""
 
@@ -109,6 +130,17 @@ class TestLabeledDataset:
         sub = ds.subset([3, 1])
         assert sub.ids == ("r3", "r1")
         np.testing.assert_array_equal(sub.features, ds.features[[3, 1]])
+
+    def test_subset_takes_targets_and_groups_with_the_rows(self):
+        ds = LabeledDataset(ids=("a", "b", "c"), features=[[1.0], [2.0], [3.0]],
+                            targets=[10.0, 20.0, 30.0], groups=("g0", "g1", "g2"))
+        sub = ds.subset(np.array([2, 0]))
+        assert sub.ids == ("c", "a") and sub.groups == ("g2", "g0")
+        np.testing.assert_array_equal(sub.targets, [30.0, 10.0])
+
+    def test_one_dimensional_features_are_one_row(self):
+        ds = LabeledDataset(ids=("a",), features=[1.0, 2.0, 3.0], targets=[0.0])
+        assert ds.features.shape == (1, 3) and ds.dim == 3
 
     def test_arrays_are_read_only(self):
         ds = small_dataset(4)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from uqregress.core import RngSeed
+from uqregress import io
+from uqregress.core import DatasetFile, RngSeed
 from uqregress.datagen import (
     calibrated_prediction_set,
     generate_synthetic,
@@ -22,8 +23,21 @@ class TestGenerator:
 
     def test_empty(self):
         d = generate_synthetic(0, 4, RngSeed(1))
+        assert type(d) is DatasetFile and d.dim == 4
         assert d.dataset is None
         assert d.true_sigma.size == 0
+
+    def test_record_is_the_one_the_dataset_csv_reads_back(self, tmp_path):
+        d = generate_synthetic(6, 2, RngSeed(4), n_groups=2)
+        ds = d.dataset
+        assert type(d) is DatasetFile and d.dim == 2 and d.true_sigma.shape == (6,)
+        io.write_dataset_csv(tmp_path / "d.csv", d.dim, ds.ids, ds.features, ds.targets,
+                             ds.groups, d.true_sigma)
+        back = io.read_dataset_csv(tmp_path / "d.csv")
+        assert type(back) is DatasetFile and back.dim == d.dim
+        assert (back.dataset.ids, back.dataset.groups) == (ds.ids, ds.groups)
+        np.testing.assert_array_equal(back.dataset.features, ds.features)
+        np.testing.assert_array_equal(back.true_sigma, d.true_sigma)
 
     def test_pooled_normalized_noise_is_standard(self):
         # generator self-consistency: (y - f(x)) / s(x) pooled is unit normal

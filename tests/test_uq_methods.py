@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from uqregress import evidential as ev
-from uqregress.core import RngSeed, validate_prediction_set
+from uqregress import uq_methods
+from uqregress.core import LabeledDataset, RngSeed, split_k_folds, validate_prediction_set
 from uqregress.datagen import generate_synthetic
 from uqregress.errors import DomainError, FoldTooSmallError, WrongHeadWidthError
 from uqregress.neural import MlpConfig, MlpModel, TrainConfig, loss_and_gradient, predict
 from uqregress.uq_methods import (
     DropoutSpec,
     EnsembleSpec,
-    aggregate_member_predictions,
+    ensemble_predict,
     evidential_predict,
-    kfold_ensemble_predict,
     mc_dropout_predict,
+    train_kfold_members,
 )
 
 from test_neural import dataset_from, pinned_head_model
@@ -35,44 +36,80 @@ def synthetic_pair(n_train=200, n_test=40, dim=2):
     return train, test
 
 
+def shifted_identity(shift):
+    """A one-input relu net whose output is exactly x + shift for x >= 0."""
+    m = MlpModel.initialize(MlpConfig((1, 1, 1), activation="relu", seed=RngSeed(0)))
+    m.weights[0], m.biases[0] = np.ones((1, 1)), np.zeros(1)
+    m.weights[1], m.biases[1] = np.ones((1, 1)), np.array([shift])
+    return m
+
+
 class TestEnsemble:
     def test_two_member_aggregation_arithmetic(self):
-        test = dataset_from(np.array([[0.0, 0.0]]), np.array([0.5]))
-        p = aggregate_member_predictions(test, np.array([[1.0], [3.0]]))
+        test = dataset_from(np.array([[0.0]]), np.array([0.5]))
+        p = ensemble_predict([shifted_identity(1.0), shifted_identity(3.0)], test)
         assert p.mu[0] == pytest.approx(2.0)
         assert p.sigma[0] == pytest.approx(np.sqrt(2.0))  # Bessel-corrected
 
     def test_identical_members_give_zero_sigma(self):
-        test = dataset_from(np.zeros((3, 2)), np.zeros(3))
-        outputs = np.tile([[0.7, -0.1, 0.4]], (4, 1))
-        p = aggregate_member_predictions(test, outputs)
+        test = dataset_from(np.array([[0.75], [0.875], [1.5]]), np.zeros(3))
+        p = ensemble_predict([shifted_identity(-0.5)] * 4, test)
+        np.testing.assert_array_equal(p.mu, [0.25, 0.375, 1.0])
         np.testing.assert_array_equal(p.sigma, np.zeros(3))
+
+    @pytest.mark.parametrize("n_members", [0, 1])
+    def test_fewer_than_two_members_rejected(self, n_members):
+        test = dataset_from(np.array([[0.0]]), np.array([0.5]))
+        with pytest.raises(DomainError, match="need >= 2 members for a std"):
+            ensemble_predict([shifted_identity(1.0)] * n_members, test)
 
     def test_kfold_produces_valid_prediction_set(self):
         train, test = synthetic_pair()
-        p = kfold_ensemble_predict(train, test, tiny_spec())
+        p = ensemble_predict(train_kfold_members(train, tiny_spec()), test)
         assert validate_prediction_set(p) is p
         assert p.n == test.n
         np.testing.assert_array_equal(p.y_true, test.targets)
 
     def test_determinism(self):
         train, test = synthetic_pair()
-        a = kfold_ensemble_predict(train, test, tiny_spec())
-        b = kfold_ensemble_predict(train, test, tiny_spec())
+        a = ensemble_predict(train_kfold_members(train, tiny_spec()), test)
+        b = ensemble_predict(train_kfold_members(train, tiny_spec()), test)
         np.testing.assert_array_equal(a.mu, b.mu)
         np.testing.assert_array_equal(a.sigma, b.sigma)
 
     def test_modes_differ(self):
         train, test = synthetic_pair()
-        a = kfold_ensemble_predict(train, test, tiny_spec(member_training="one_fold_each"))
-        b = kfold_ensemble_predict(train, test, tiny_spec(member_training="leave_one_fold_out"))
+        a, b = (ensemble_predict(train_kfold_members(train, tiny_spec(member_training=mode)), test)
+                for mode in ("one_fold_each", "leave_one_fold_out"))
         assert not np.array_equal(a.mu, b.mu)
+
+    def test_leave_one_fold_out_member_data(self, monkeypatch):
+        # each member trains on the other folds in fold order, exactly as the
+        # hand concatenation below builds them; 23 rows give folds of 6, 6, 6, 5
+        train = generate_synthetic(23, 2, RngSeed(11), n_groups=3).dataset
+        spec = tiny_spec(k=4, member_training="leave_one_fold_out")
+        seen = []
+        monkeypatch.setattr(uq_methods, "train", lambda model, data, cfg: seen.append(data))
+        train_kfold_members(train, spec)
+        folds = split_k_folds(train, spec.k, spec.train.seed.derive(uq_methods._FOLD_NS))
+        assert [f.n for f in folds] == [6, 6, 6, 5]
+        assert len(seen) == spec.k
+        for i, got in enumerate(seen):
+            rest = [f for j, f in enumerate(folds) if j != i]
+            want = LabeledDataset(
+                ids=tuple(rid for f in rest for rid in f.ids),
+                features=np.vstack([f.features for f in rest]),
+                targets=np.concatenate([f.targets for f in rest]),
+                groups=tuple(g for f in rest for g in f.groups),
+            )
+            assert got.ids == want.ids and got.groups == want.groups
+            np.testing.assert_array_equal(got.features, want.features)
+            np.testing.assert_array_equal(got.targets, want.targets)
 
     def test_degenerate_folds_rejected(self):
         train = generate_synthetic(5, 2, RngSeed(3)).dataset  # k = N: folds of one row
-        test = generate_synthetic(4, 2, RngSeed(4)).dataset
         with pytest.raises(FoldTooSmallError):
-            kfold_ensemble_predict(train, test, tiny_spec(k=5))
+            train_kfold_members(train, tiny_spec(k=5))
 
     def test_k_below_two_rejected(self):
         with pytest.raises(DomainError):
