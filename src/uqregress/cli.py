@@ -404,7 +404,7 @@ def _load_config_defaults(path: str, command: str, sub: argparse._SubParsersActi
             raise FileParseError(
                 f"{path} is a manifest for {raw.get('command')!r}, not {command!r}"
             )
-        raw = raw["config"]
+        raw = raw.get("config")
     if not isinstance(raw, dict):
         raise FileParseError(f"{path}: config must be a JSON object")
     sp = sub.choices[command]

@@ -41,7 +41,7 @@ ENSEMBLE_FORMAT = "uqregress-ensemble-v1"
 MANIFEST_FORMAT = "uqregress-manifest-v1"
 
 CHUNK_ROWS = 16384  # CSV rows formatted per write and parsed per read
-_SCAN_BYTES = 1 << 20  # bytes compared at a time when searching for a newline or comma
+_SCAN_BYTES = 1 << 20  # bytes compared at a time when searching for a newline
 # characters that can make csv.writer quote a field; such fields go through csv itself
 _QUOTE_TRIGGER = re.compile('[,"\r\n\x00]')
 # the bytes a plain CSV file may hold: printable ASCII except '"', and '\n'
@@ -159,53 +159,20 @@ def _scan_rows(path: Path, data: bytes, layout) -> tuple[list[str], list]:
     return header, [c if j in text_cols else _floats(c) for j, c in enumerate(columns)]
 
 
-def _offsets(raw: np.ndarray, byte: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Offsets of ``byte`` in ``raw[lo:hi]``, searched a fixed-size block at a time."""
-    hi = raw.size if hi is None else min(hi, raw.size)
-    return np.concatenate([np.flatnonzero(raw[b:min(b + _SCAN_BYTES, hi)] == byte) + b
-                           for b in range(lo, hi, _SCAN_BYTES)])
-
-
-def _parse_chunk(data: bytes, ends: np.ndarray, float_cols: list[int], text_cols: set[int],
-                 out: np.ndarray) -> dict[int, list[str]] | None:
-    """Parse the lines that end at ``ends[1:]``, the first right after ``ends[0]``.
-
-    Their float fields fill ``out`` and their text fields are returned by
-    column index; None if one of the lines needs the line scan.
-    """
-    m, k = ends.size - 1, len(float_cols) + len(text_cols) - 1
-    start = int(ends[0]) + 1
-    # every line must hold exactly as many commas as the header
-    commas = _offsets(np.frombuffer(data, dtype=np.uint8), 0x2C, start, int(ends[-1]))
-    if commas.size != k * m:
-        return None
-    commas = commas.reshape(m, k)
-    if not ((commas[:, -1] < ends[1:]).all() and (commas[1:, 0] > ends[1:-1]).all()):
-        return None
-    stream = BytesIO(data)  # shares the bytes of data
-    stream.seek(start)
-    with TextIOWrapper(stream, encoding="ascii") as lines:
-        try:
-            values = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
-                                usecols=float_cols, ndmin=2, max_rows=m)
-        except ValueError:
-            return None
-    if values.shape != out.shape:
-        return None
-    out[...] = values
-    # field j of a line runs from its start or comma j - 1 up to comma j or its end
-    return {j: [data[a:b].decode() for a, b in zip(
-                memoryview((ends[:-1] if j == 0 else commas[:, j - 1]) + 1),
-                memoryview(ends[1:] if j == k else commas[:, j]))]
-            for j in text_cols}
+def _offsets(raw: np.ndarray, byte: int) -> np.ndarray:
+    """Offsets of ``byte`` in ``raw``, searched a fixed-size block at a time."""
+    return np.concatenate([np.flatnonzero(raw[b:b + _SCAN_BYTES] == byte) + b
+                           for b in range(0, raw.size, _SCAN_BYTES)])
 
 
 def _column_parse(path: Path, data: bytes, layout) -> tuple[list[str], list] | None:
     """Header and columns of a plain file, or None if it needs the line scan.
 
-    The body is checked and parsed ``CHUNK_ROWS`` lines at a time into
-    preallocated columns, so beyond ``data`` and the parsed columns only one
-    chunk's temporaries are alive.
+    The body is parsed ``CHUNK_ROWS`` lines at a time into preallocated
+    columns, each chunk by one ``np.loadtxt`` over a row of str (text) and
+    float64 fields, which rejects any line whose field count differs from the
+    header's. Beyond ``data`` and the parsed columns only one chunk's
+    temporaries are alive.
     """
     if not data or data[0] == 0x0A or b"\n\n" in data or data.translate(None, _PLAIN_BYTES):
         return None
@@ -217,18 +184,26 @@ def _column_parse(path: Path, data: bytes, layout) -> tuple[list[str], list] | N
     header = data[:ends[0]].decode("ascii").split(",")
     text_cols = layout(path, header)
     n = ends.size - 1
-    float_cols = [j for j in range(len(header)) if j not in text_cols]
-    values = np.empty((n, len(float_cols)), dtype=np.float64)
-    texts = {j: [] for j in text_cols}
+    row = np.dtype([(f"f{j}", object if j in text_cols else np.float64) for j in range(len(header))])
+    columns = [[] if j in text_cols else np.empty(n) for j in range(len(header))]
     for lo in range(0, n, CHUNK_ROWS):
-        cells = _parse_chunk(data, ends[lo:lo + CHUNK_ROWS + 1], float_cols, text_cols,
-                             values[lo:lo + CHUNK_ROWS])
-        if cells is None:
+        m = min(CHUNK_ROWS, n - lo)
+        stream = BytesIO(data)  # shares the bytes of data
+        stream.seek(int(ends[lo]) + 1)
+        with TextIOWrapper(stream, encoding="ascii") as lines:
+            try:
+                rows = np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1,
+                                  max_rows=m)
+            except ValueError:
+                return None
+        if rows.size != m:
             return None
-        for j, column in cells.items():
-            texts[j] += column
-    return header, [texts[j] if j in text_cols else values[:, float_cols.index(j)]
-                    for j in range(len(header))]
+        for j, column in enumerate(columns):
+            if j in text_cols:
+                column += rows[f"f{j}"].tolist()
+            else:
+                column[lo:lo + m] = rows[f"f{j}"]
+    return header, columns
 
 
 def _read_columns_csv(path, layout) -> tuple[list[str], list]:

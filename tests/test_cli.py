@@ -142,6 +142,17 @@ class TestEvaluate:
         assert report["calibration_n_used"] == 4
         assert report["calibration_n_excluded_zero_sigma"] == 0
 
+    def test_equal_sigmas_report_a_degenerate_sample(self, tmp_path):
+        # the KDE has no bandwidth: evaluate reports it and writes no violin table
+        pred = tmp_path / "p.csv"
+        pred.write_text("id,y_true,y_pred,sigma\na,1,0,0.5\nb,0.5,0.1,0.5\nc,-0.3,0.2,0.5\n")
+        out = tmp_path / "report.json"
+        assert run("evaluate", "--pred", pred, "--out", out) == 0
+        assert "DegenerateSample" in json.loads(out.read_text())["errors"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "p.csv", "report.curve.csv", "report.curve.csv.manifest.json", "report.json",
+            "report.json.manifest.json"]
+
 
 class TestAdversarial:
     def test_fraction_one_matches_evaluate_area(self, workspace, tmp_path):
@@ -305,6 +316,31 @@ class TestConfigAndManifests:
         }))
         assert run("screen", "--config", cfg, "--sigma-max", 0.3) == 0
         assert json.loads(out.read_text())["criteria"]["sigma_max"] == 0.3
+
+    @pytest.mark.parametrize("body", [
+        json.dumps({"format": io.MANIFEST_FORMAT, "command": "screen"}),  # no "config" key
+        '["pred", "out"]',
+    ], ids=("manifest-without-config", "list"))
+    def test_config_that_is_not_an_object(self, tmp_path, capsys, body):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(body)
+        assert run("screen", "--config", cfg) == 1
+        _one_error_line(capsys, f"{cfg}: config must be a JSON object")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+
+class TestHeaderOnlyInputs:
+    @pytest.mark.parametrize("header, argv, message", [
+        ("id,x0,y", ["train", "--method", "dropout", *FAST_TRAIN, "--train"],
+         "has no rows; cannot train"),
+        ("id,y_true,y_pred,sigma", ["evaluate", "--pred"], "has no prediction rows"),
+    ], ids=("train", "evaluate"))
+    def test_one_error_line_naming_the_file(self, tmp_path, capsys, header, argv, message):
+        csv_path = tmp_path / "in.csv"
+        csv_path.write_text(header + "\n")
+        assert run(*argv, csv_path, "--out", tmp_path / "out.json") == 1
+        _one_error_line(capsys, f"{csv_path} {message}")
+        assert list(tmp_path.iterdir()) == [csv_path]
 
 
 def _one_error_line(capsys, *needles):
@@ -517,6 +553,7 @@ class TestUnwritableInputs:
         (["screen", "--lo"], "argument --lo: expected one argument"),
         (["screen", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
         (["bogus"], "invalid choice: 'bogus'"),
+        (["--config", "c.json", "screen"], "--config requires a leading command name"),
     ])
     def test_usage_error_is_one_error_line(self, workspace, tmp_path, capsys, argv, needle):
         assert run(*argv, "--pred", workspace["preds"]["ensemble"], "--out",

@@ -227,9 +227,9 @@ def test_fault_in_a_later_chunk_matches_reference(tmp_path, monkeypatch, chunk_r
     line = f"{path}:{LATE_ROW + 2}: "
     if fault is None:  # the column parse takes the file, one chunk at a time
         layout = io._prediction_text_cols if header == PRED else io._dataset_text_cols
-        with patch.object(io, "_parse_chunk", wraps=io._parse_chunk) as parse_chunk:
+        with patch.object(io.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
             assert io._column_parse(path, path.read_bytes(), layout) is not None
-        assert parse_chunk.call_count == -(-len(rows) // chunk_rows)
+        assert loadtxt.call_count == -(-len(rows) // chunk_rows)
     elif fault == "bad cell":
         assert got[2] == f"{line}column {names[1]!r}: 'oops' is not a number"
     elif fault == "field count":
