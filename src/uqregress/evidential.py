@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .numerics import digamma, log_gamma
+from .numerics import digamma_half_step, log_gamma_half_step
 
 NU_FLOOR = 1e-6
 ALPHA_FLOOR = 1.0 + 1e-6
@@ -27,6 +27,12 @@ BETA_FLOOR = 1e-6
 
 def softplus(x):
     return np.logaddexp(0.0, x)
+
+
+@np.errstate(over="ignore")  # exp(-x) is inf below x of about -709, where the logistic is 0
+def sigmoid(x):
+    """Logistic 1/(1 + exp(-x)), the derivative of :func:`softplus`."""
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def head_transform(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -43,12 +49,10 @@ def head_transform(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 
 def head_transform_derivatives(raw: np.ndarray) -> np.ndarray:
     """d(param)/d(raw output) for each of the 4 head channels, shape (n, 4)."""
-    from scipy.special import expit
-
     raw = np.asarray(raw, dtype=np.float64)
     d = np.empty_like(raw)
     d[:, 0] = 1.0
-    d[:, 1:] = expit(raw[:, 1:])  # d softplus(x)/dx
+    d[:, 1:] = sigmoid(raw[:, 1:])
     return d
 
 
@@ -60,8 +64,7 @@ def nll_array(gamma, nu, alpha, beta, y) -> np.ndarray:
         0.5 * np.log(np.pi / nu)
         - alpha * np.log(omega)
         + (alpha + 0.5) * np.log(a_term)
-        + log_gamma(alpha)
-        - log_gamma(alpha + 0.5)
+        + log_gamma_half_step(alpha)
     )
 
 
@@ -72,7 +75,7 @@ def nll_gradients(gamma, nu, alpha, beta, y) -> tuple[np.ndarray, np.ndarray, np
     a_term = r * r * nu + omega
     d_gamma = -2.0 * nu * r * (alpha + 0.5) / a_term
     d_nu = -0.5 / nu - 2.0 * alpha * beta / omega + (alpha + 0.5) * (r * r + 2.0 * beta) / a_term
-    d_alpha = np.log(a_term) - np.log(omega) + digamma(alpha) - digamma(alpha + 0.5)
+    d_alpha = np.log(a_term) - np.log(omega) + digamma_half_step(alpha)
     d_beta = 2.0 * (1.0 + nu) * ((alpha + 0.5) / a_term - alpha / omega)
     return d_gamma, d_nu, d_alpha, d_beta
 

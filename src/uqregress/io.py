@@ -41,7 +41,7 @@ ENSEMBLE_FORMAT = "uqregress-ensemble-v1"
 MANIFEST_FORMAT = "uqregress-manifest-v1"
 
 CHUNK_ROWS = 16384  # CSV rows formatted per write and parsed per read
-_SCAN_BYTES = 1 << 20  # bytes compared at a time when searching for a newline
+_SCAN_BYTES = 1 << 20  # bytes checked at a time for a newline or a byte a plain file lacks
 # characters that can make csv.writer quote a field; such fields go through csv itself
 _QUOTE_TRIGGER = re.compile('[,"\r\n\x00]')
 # the bytes a plain CSV file may hold: printable ASCII except '"', and '\n'
@@ -174,7 +174,9 @@ def _column_parse(path: Path, data: bytes, layout) -> tuple[list[str], list] | N
     header's. Beyond ``data`` and the parsed columns only one chunk's
     temporaries are alive.
     """
-    if not data or data[0] == 0x0A or b"\n\n" in data or data.translate(None, _PLAIN_BYTES):
+    if not data or data[0] == 0x0A or b"\n\n" in data or any(
+            data[b:b + _SCAN_BYTES].translate(None, _PLAIN_BYTES)  # a block at a time
+            for b in range(0, len(data), _SCAN_BYTES)):
         return None
     ends = _offsets(np.frombuffer(data, dtype=np.uint8), 0x0A)
     if data[-1] != 0x0A:

@@ -27,7 +27,7 @@ from .errors import (
 _ACTIVATIONS = {
     "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(np.float64)),
     "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "softplus": (ev.softplus, lambda z: 1.0 / (1.0 + np.exp(-z))),
+    "softplus": (ev.softplus, ev.sigmoid),
 }
 
 # stream namespaces under a training seed, so shuffling and masks never collide
@@ -278,9 +278,8 @@ def train(m: MlpModel, data: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel
         # row of the batch that starts at `start` in this epoch's `perm`
         return data.ids[perm[start + row]]
 
-    # an overflow or NaN either ends in the NonFiniteLossError or DivergenceError
-    # below, which say where, or rounds to the right value (exp(-z) in the
-    # softplus derivative); numpy's RuntimeWarning would only add stderr lines
+    # an overflow or NaN ends in the NonFiniteLossError or DivergenceError below,
+    # which say where; numpy's RuntimeWarning would only add stderr lines
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             perm = cfg.seed.derive(_SHUFFLE_NS, epoch).generator().permutation(data.n)

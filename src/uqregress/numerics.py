@@ -1,12 +1,15 @@
 """Special functions, bounded scalar minimization, and Scott's-rule KDE.
 
-The probability functions accept scalars or numpy arrays. Φ is scipy's own
+Everything here is numpy and the standard library; nothing loads scipy. The
+probability functions accept scalars or numpy arrays. Φ is scipy's own
 formula written in numpy (within a few ulp of ``scipy.special.ndtr``, see
 ``std_normal_cdf``), Φ⁻¹ is the stdlib's AS241 (within a few ulp of
 ``ndtri``), and ``brent_minimize`` runs scipy's bounded Brent iterates in
-plain Python, so none of the three loads scipy and the evaluation commands
-start without it. Only ``log_gamma`` and ``digamma`` (evidential training)
-import ``scipy.special``, on first use, inside the call.
+plain Python. ``log_gamma`` is ``math.lgamma`` of each value, and ``digamma``
+is the recurrence to x + 16 followed by the asymptotic series. The
+evidential loss needs only ln Γ(α) − ln Γ(α + ½) and ψ(α) − ψ(α + ½), which
+``log_gamma_half_step`` and ``digamma_half_step`` compute as differences,
+without checks, for α ≥ 1.
 
 Those few ulps move a point across a grid value only if it lies within ulps
 of it. So the z-space recalibration fit, which compares z with Φ⁻¹ of the
@@ -82,23 +85,22 @@ def _erfc(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _special(name: str, x, bad, message: str):
-    """``scipy.special.<name>`` of ``x`` as a float (scalar ``x``) or an array.
-
-    Raises DomainError(``message``) if ``bad`` is true anywhere on ``x``, before
-    scipy is imported.
-    """
+def _positive(x, message: str) -> np.ndarray:
+    """``x`` as a float64 array; DomainError(``message``) unless every value is finite and > 0."""
     arr = np.asarray(x, dtype=np.float64)
-    if np.any(bad(arr)):
+    if not np.all(np.isfinite(arr) & (arr > 0.0)):
         raise DomainError(message)
-    from scipy import special
-
-    out = getattr(special, name)(arr)
-    return float(out) if arr.ndim == 0 else out
+    return arr
 
 
-def _not_finite_positive(a):
-    return ~(np.isfinite(a) & (a > 0.0))
+def _horner(r, coefs: tuple):
+    """coefs[0] + coefs[1] r + coefs[2] r² + …, for an array or a float ``r``."""
+    out = coefs[-1] * r
+    for c in coefs[-2:0:-1]:
+        out += c
+        out *= r
+    out += coefs[0]
+    return out
 
 
 def std_normal_cdf(x):
@@ -133,14 +135,73 @@ def std_normal_quantile(p):
     return float(out) if arr.ndim == 0 else out
 
 
+def _lgamma(v: float) -> float:
+    try:
+        return math.lgamma(v)
+    except OverflowError:  # ln Γ(x) is beyond the float range for x above about 2.55e305
+        return math.inf
+
+
 def log_gamma(x):
-    """ln Γ(x) for x > 0. Vectorized."""
-    return _special("gammaln", x, _not_finite_positive, "log_gamma requires x > 0")
+    """ln Γ(x) for x > 0. Vectorized.
+
+    Each value is ``math.lgamma``, so ln Γ(1) and ln Γ(2) are exactly 0.0.
+    """
+    arr = _positive(x, "log_gamma requires x > 0")
+    out = np.array([_lgamma(v) for v in arr.ravel().tolist()], dtype=np.float64).reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
 
 
+# The recurrences ln Γ(x) = ln Γ(x + K) − Σ ln(x + k) and ψ(x) = ψ(x + K) − Σ 1/(x + k),
+# k < K, move the argument to z = x + K > K, where the asymptotic series below,
+# cut after the listed terms, are accurate to about 1e-16.
+_K = 16.0
+_SHIFTS = np.arange(_K)  # the k
+# ψ(z) = ln z − 1/(2z) − Σ_m B₂ₘ/(2m z²ᵐ): the B₂ₘ/(2m), m = 1..6
+_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760)
+# ln Γ(z) − ln Γ(z + ½) = −½ ln z + Σ_j c_j z^-(2j+1): the c_j, j = 0..4
+_HALF_STEP_SERIES = (1 / 8, -1 / 192, 1 / 640, -17 / 14336, 31 / 18432)
+# its derivative, ψ(z) − ψ(z + ½) = −1/(2z) − Σ_j (2j+1) c_j z^-(2j+2)
+_DIGAMMA_HALF_STEP_SERIES = tuple(-(2 * j + 1) * c for j, c in enumerate(_HALF_STEP_SERIES))
+
+
+@np.errstate(over="ignore")  # 1/x is inf below x of about 5.6e-309, and so is -ψ(x) ≈ 1/x
 def digamma(x):
     """ψ(x) = d/dx ln Γ(x) for x > 0. Vectorized."""
-    return _special("psi", x, _not_finite_positive, "digamma requires x > 0")
+    arr = _positive(x, "digamma requires x > 0")
+    z = arr + _K
+    u = 1.0 / z
+    r = u * u
+    out = np.log(z) - 0.5 * u - r * _horner(r, _DIGAMMA_SERIES)
+    out -= (1.0 / np.add.outer(_SHIFTS, arr)).sum(0)
+    return float(out) if arr.ndim == 0 else out
+
+
+def log_gamma_half_step(a):
+    """ln Γ(a) − ln Γ(a + ½), elementwise, for a >= 1 (unchecked).
+
+    Computed as one difference, so it keeps its precision at large a, where
+    the two ln Γ values are large and nearly equal: Σ_k ln(1 + ½/(a + k))
+    plus the series at z = a + 16.
+    """
+    u = 1.0 / (a + _K)
+    out = _horner(u * u, _HALF_STEP_SERIES)
+    out *= u
+    out += np.log1p(0.5 / np.add.outer(_SHIFTS, a)).sum(0)
+    out += 0.5 * np.log(u)
+    return out
+
+
+def digamma_half_step(a):
+    """ψ(a) − ψ(a + ½), elementwise, for a >= 1 (unchecked): the derivative of
+    :func:`log_gamma_half_step`, term by term."""
+    u = 1.0 / (a + _K)
+    r = u * u
+    out = _horner(r, _DIGAMMA_HALF_STEP_SERIES)
+    out *= r
+    t = np.add.outer(_SHIFTS, a)
+    out -= 0.5 * ((1.0 / (t * (t + 0.5))).sum(0) + u)
+    return out
 
 
 @dataclass(frozen=True)

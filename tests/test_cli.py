@@ -527,8 +527,8 @@ class TestUnwritableInputs:
     ])
     def test_divergent_evidential_training_names_the_sample(self, workspace, tmp_path, capsys,
                                                             learning_rate, needles):
-        # a non-finite head output is named with its sample, before the
-        # evidential head's log_gamma domain check can reject it unnamed
+        # a non-finite head output is named with its sample, before a loss
+        # is computed from it
         out = tmp_path / "m.json"
         assert run("train", "--method", "evidential", "--train", workspace["data"] / "train.csv",
                    "--out", out, "--seed", 4, *FAST_TRAIN, "--epochs", 5,

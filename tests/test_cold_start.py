@@ -1,9 +1,8 @@
-"""Cold start: scipy stays off the import path and loads on first use.
+"""Cold start: no command and no library function loads scipy.
 
-Only evidential training (ln Γ, ψ and the logistic of the evidential head)
-loads ``scipy.special``; no command loads ``scipy.optimize``. Each check runs
-in a fresh interpreter, because the test process itself has long since
-imported scipy.
+Φ, Φ⁻¹, Brent, ln Γ, ψ and the evidential head's logistic are numpy and
+stdlib code. Each check runs in a fresh interpreter, because the test
+process itself has long since imported scipy (the ports' test oracle).
 """
 
 import json
@@ -38,7 +37,7 @@ def test_importing_the_cli_loads_no_scipy():
 
 
 # every module `import uqregress.cli` may add to those numpy loads; `statistics`
-# (for Φ⁻¹) and `scipy` load inside the functions that use them
+# (for Φ⁻¹) loads inside the function that uses it
 CLI_IMPORTS = {
     "__future__", "_csv", "_json", "argparse", "copy", "csv", "dataclasses", "gettext",
     "json", "json.decoder", "json.encoder", "json.scanner",
@@ -72,13 +71,15 @@ def tiny(tmp_path_factory):
     return root
 
 
-# the commands README says load no scipy; {root} is the tiny fixture's directory
+# every command, each method's train and predict; {root} is the tiny fixture's directory
 NO_SCIPY = {
     "generate": ["generate", "--out", "{out}", "--n-train", "20", "--n-test", "10"],
     "train-ensemble": ["train", "--method", "ensemble", "--train", "{root}/train.csv",
                        "--out", "{out}", *TINY_TRAIN],
     "train-dropout": ["train", "--method", "dropout", "--train", "{root}/train.csv",
                       "--out", "{out}", *TINY_TRAIN],
+    "train-evidential": ["train", "--method", "evidential", "--train", "{root}/train.csv",
+                         "--out", "{out}", *TINY_TRAIN],
     "predict-ensemble": ["predict", "--method", "ensemble", "--model", "{root}/ensemble.json",
                          "--test", "{root}/test.csv", "--out", "{out}"],
     "predict-dropout": ["predict", "--method", "dropout", "--model", "{root}/dropout.json",
@@ -122,22 +123,26 @@ def test_normal_functions_and_brent_load_no_scipy():
     assert fresh == [eval(call) for call in NO_SCIPY_CALLS]
 
 
-# (module, function, call) for every function that imports scipy on first use
+# (module, function, argument) of the special functions; in a fresh process
+# their first calls load no scipy
 CALLS = (
-    ("numerics", "log_gamma", "[1e-3, 0.5, 3.7, 150.0]"),
+    ("numerics", "log_gamma", "[1e-3, 0.5, 1.0, 2.0, 3.7, 150.0]"),
     ("numerics", "digamma", "[1e-3, 0.5, 3.7, 150.0]"),
-    ("evidential", "head_transform_derivatives", "[[0.1, -2.0, 0.0, 3.0]]"),
+    ("numerics", "log_gamma_half_step", "[1.000001, 3.7, 150.0, 1e9]"),
+    ("numerics", "digamma_half_step", "[1.000001, 3.7, 150.0, 1e9]"),
+    ("evidential", "head_transform_derivatives", "[[0.1, -2.0, 0.0, 3.0], [0.0, -800.0, 40.0, 1.0]]"),
 )
 
 
 def test_first_calls_in_a_fresh_process_match_in_process_values():
-    code = ["import json, numpy as np", "from uqregress import evidential, numerics", "out = []"]
+    code = ["import json, sys, numpy as np", "from uqregress import evidential, numerics", "out = []"]
     for module, name, arg in CALLS:
         code.append(f"out.append(np.asarray({module}.{name}(np.array({arg}))).tolist())")
     code.append("r = numerics.brent_minimize(lambda x: (x - 0.3) ** 2 + np.cos(7 * x), -1.0, 2.0)")
     code.append("out.append([r.argmin, r.value, r.iterations, r.converged])")
-    code.append("print(json.dumps(out))")
-    fresh = run_fresh("\n".join(code))
+    code.append(f"print(json.dumps([out, {SCIPY_KEYS}]))")
+    fresh, loaded = run_fresh("\n".join(code))
+    assert loaded == []
 
     modules = {"numerics": numerics, "evidential": evidential}
     here = [np.asarray(getattr(modules[m], name)(np.array(json.loads(arg)))).tolist()

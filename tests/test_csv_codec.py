@@ -8,6 +8,7 @@ same accept/reject decision and the same error text.
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest.mock import patch
 
@@ -252,6 +253,35 @@ def test_plain_file_takes_the_column_parse(tmp_path):
     header, columns = parsed
     assert header == ["id", "y_true", "y_pred", "sigma", "group"]
     assert tuple(columns[0]) == p.ids and np.array_equal(columns[3], p.sigma)
+
+
+def test_quote_in_a_later_block_takes_the_line_scan(tmp_path, monkeypatch):
+    monkeypatch.setattr(io, "_SCAN_BYTES", 64)
+    rng = np.random.default_rng(2)
+    n = 40
+    p = PredictionSet(tuple(f"r,{i}" if i == 30 else f"r{i}" for i in range(n)), rng.normal(size=n),
+                      rng.normal(size=n), rng.uniform(size=n))
+    path = tmp_path / "pred.csv"
+    io.write_predictions_csv(path, p)
+    data = path.read_bytes()
+    assert data.index(b'"') > 10 * io._SCAN_BYTES  # csv quotes the id "r,30"
+    assert io._column_parse(path, data, io._prediction_text_cols) is None
+    with patch.object(io, "_scan_rows", wraps=io._scan_rows) as scan:
+        got = _outcome(io.read_predictions_csv, path)
+    assert scan.call_count == 1
+    assert got == _outcome(ref.read_predictions_csv, path)
+    assert got[1] == p.ids
+
+
+def test_plain_byte_check_holds_no_file_sized_buffer():
+    data = PRED + b"r0,1.0,2.0,0.5\n" * (1 << 19) + b'"\n'  # 8 MB, its one quote at the end
+    tracemalloc.start()
+    try:
+        assert io._column_parse(Path("big.csv"), data, io._prediction_text_cols) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * io._SCAN_BYTES < len(data) / 2
 
 
 def test_multi_chunk_write_matches_reference(tmp_path, monkeypatch):

@@ -211,13 +211,21 @@ class TestLossAndGradient:
             loss_and_gradient(m, batch)
 
     def test_non_finite_evidential_head_names_sample(self):
-        # an infinite alpha would otherwise fail log_gamma's domain check unnamed
+        # the head output itself is reported, before a loss is computed from it
         m = pinned_head_model(0.0, 1.0, 2.0, 1.0)
         m.biases[-1][2] = np.inf
         batch = dataset_from(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
         needle = r"network output is \[0.0, .*, inf, .*\] for sample '0'"
         with pytest.raises(NonFiniteLossError, match=needle):
             loss_and_gradient(m, batch)
+
+    def test_softplus_derivative_far_below_zero_warns_nothing(self):
+        # exp(-z) overflows below z of about -709, where the logistic is 0
+        m = MlpModel.initialize(MlpConfig((1, 2, 1), activation="softplus", seed=RngSeed(17)))
+        m.weights[0][:] = -1.0
+        loss, grads = loss_and_gradient(m, dataset_from(np.array([[1e4]]), np.array([0.0])))
+        assert np.isfinite(loss)
+        assert np.array_equal(grads[0][0], [[0.0, 0.0]]) and np.array_equal(grads[0][1], [0.0, 0.0])
 
 
 class TestDropoutExpectation:

@@ -1,9 +1,11 @@
-"""Φ, Φ⁻¹ and bounded Brent are written without scipy; here they are pinned
-to the scipy functions they replace."""
+"""Φ, Φ⁻¹, bounded Brent, ln Γ, ψ and the logistic are written without scipy;
+here they are pinned to the scipy functions they replace, and the evidential
+loss's ln Γ and ψ differences to 40-digit mpmath."""
 
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -11,7 +13,17 @@ from scipy.optimize import minimize_scalar
 
 from uqregress.calibration import calibration_curve
 from uqregress.errors import DomainError, NonFiniteValueError
-from uqregress.numerics import BrentResult, brent_minimize, std_normal_cdf, std_normal_quantile
+from uqregress.evidential import sigmoid
+from uqregress.numerics import (
+    BrentResult,
+    brent_minimize,
+    digamma,
+    digamma_half_step,
+    log_gamma,
+    log_gamma_half_step,
+    std_normal_cdf,
+    std_normal_quantile,
+)
 from uqregress.recalibration import apply_scalar
 
 from conftest import gaussian_null
@@ -66,6 +78,67 @@ class TestStdNormalQuantileAgainstNdtri:
     def test_domain(self):
         with pytest.raises(DomainError):
             std_normal_quantile(np.array([0.2, 1.0]))
+
+
+def relative_error(ours, ref):
+    return np.abs(ours - ref) / np.maximum(1.0, np.abs(ref))
+
+
+class TestHalfStepsAgainstMpmath:
+    """ln Γ(α) − ln Γ(α + ½) and ψ(α) − ψ(α + ½) over the evidential head's
+    range α >= 1 + 1e-6, where differencing two large ln Γ values would lose
+    digits (scipy's differenced gammaln is off by about 3e-4 at 1e12)."""
+
+    @pytest.fixture(scope="class")
+    def alpha(self):
+        rng = np.random.default_rng(7)
+        return np.concatenate([1.0 + 10.0 ** rng.uniform(-6.0, 0.0, 300),
+                               10.0 ** rng.uniform(0.0, 12.0, 700), [1.0 + 1e-6, 2.0, 16.5, 1e12]])
+
+    @pytest.mark.parametrize("ours, exact", [
+        (log_gamma_half_step, mpmath.loggamma),
+        (digamma_half_step, mpmath.digamma),
+    ])
+    def test_within_1e13(self, alpha, ours, exact):
+        with mpmath.workdps(40):
+            ref = np.array([float(exact(mpmath.mpf(a)) - exact(mpmath.mpf(a) + 0.5)) for a in alpha])
+        assert relative_error(ours(alpha), ref).max() <= 1e-13
+
+    def test_keeps_shape(self):
+        a = np.array([[1.5, 2.0], [3.0, 40.0]])
+        assert log_gamma_half_step(a).shape == digamma_half_step(a).shape == (2, 2)
+        assert log_gamma_half_step(a)[1, 0] == log_gamma_half_step(3.0)
+
+
+class TestLogGammaAndDigammaAgainstScipy:
+    @pytest.fixture(scope="class")
+    def x(self):
+        rng = np.random.default_rng(8)
+        return np.concatenate([10.0 ** rng.uniform(-3.0, 6.0, 200_000), rng.uniform(1e-3, 5.0, 100_000),
+                               [1e-3, 1.0, 2.0, 1.4616321449683622, 1e6]])
+
+    @pytest.mark.parametrize("ours, theirs", [(log_gamma, special.gammaln), (digamma, special.psi)])
+    def test_within_1e14(self, x, ours, theirs):
+        assert relative_error(ours(x), theirs(x)).max() <= 1e-14
+
+    def test_log_gamma_is_exactly_zero_at_one_and_two(self):
+        assert log_gamma(1.0) == log_gamma(2.0) == 0.0
+        assert log_gamma(np.array([1.0, 2.0])).tolist() == [0.0, 0.0]
+
+    def test_beyond_the_float_range(self):
+        assert log_gamma(1e306) == special.gammaln(1e306) == math.inf
+        assert digamma(5e-324) == special.psi(5e-324) == -math.inf
+
+    def test_domain(self):
+        for f, name in ((log_gamma, "log_gamma"), (digamma, "digamma")):
+            for bad in (0.0, -1.0, np.inf, np.nan):
+                with pytest.raises(DomainError, match=f"^{name} requires x > 0$"):
+                    f(np.array([1.0, bad]))
+
+
+def test_sigmoid_within_2_ulp_of_expit():
+    x = np.random.default_rng(9).normal(size=1_000_000)
+    assert np.all(within_ulps(sigmoid(x), special.expit(x), ulps=2))
 
 
 def scipy_brent(f, lo, hi, tol=1e-6, max_iter=200) -> BrentResult:
