@@ -25,12 +25,14 @@ from .core import RngSeed, validate_prediction_set
 from .datagen import generate_synthetic
 from .errors import DegenerateSampleError, DomainError, FileParseError, UqError
 from .metrics import distribution_summary
-from .neural import MlpConfig, MlpModel, TrainConfig, train
+from .neural import _ACTIVATIONS, MlpConfig, MlpModel, TrainConfig, train
 from .numerics import scott_bandwidth
 from .recalibration import apply_scalar, fit_scalar
 from .report import evaluate, report_to_dict
 from .screening import ScreenCriteria, honesty_rate, screen
 from .uq_methods import (
+    EVIDENTIAL_CHANNELS,
+    MEMBER_TRAINING_MODES,
     DropoutSpec,
     EnsembleSpec,
     ensemble_predict,
@@ -262,16 +264,23 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    # a None default is either no default (a required flag) or one the help
+    # text states in words, so only a real value is appended
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
     parser = _Parser(
         prog="uqregress",
         description="Uncertainty quantification pipeline for regression predictions.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    fmt = _HelpFormatter
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
+        sp.add_argument("--seed", type=int, default=0, help="base RNG seed")
         sp.add_argument("--config", type=str, default=None,
                         help="JSON config (keys mirror the flags); a run manifest also works")
 
@@ -283,7 +292,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
     g.add_argument("--out", required=True, help="output directory (train.csv, test.csv)")
     g.add_argument("--n-train", type=int, default=5000, help="training rows")
     g.add_argument("--n-test", type=int, default=2000, help="test rows")
-    g.add_argument("--dim", type=int, default=4, help="feature dimension (default 4)")
+    g.add_argument("--dim", type=int, default=4, help="feature dimension")
     g.add_argument("--groups", type=int, default=0, help="number of group tags; 0 disables")
     common(g)
     g.set_defaults(func=cmd_generate)
@@ -293,7 +302,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
     t.add_argument("--train", required=True, help="training dataset CSV")
     t.add_argument("--out", required=True, help="checkpoint JSON path")
     t.add_argument("--hidden", default="32,32", help="hidden layer widths, e.g. 32,32")
-    t.add_argument("--activation", default="tanh", choices=("relu", "tanh", "softplus"),
+    t.add_argument("--activation", default="tanh", choices=tuple(_ACTIVATIONS),
                    help="hidden-layer activation")
     t.add_argument("--epochs", type=int, default=60, help="training epochs")
     t.add_argument("--batch-size", type=int, default=64, help="mini-batch size")
@@ -306,7 +315,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
                    help="evidential regularization weight (evidential method)")
     t.add_argument("--k", type=int, default=5, help="ensemble fold count")
     t.add_argument("--member-training", default="one_fold_each",
-                   choices=("one_fold_each", "leave_one_fold_out"))
+                   choices=MEMBER_TRAINING_MODES)
     common(t)
     t.set_defaults(func=cmd_train)
 
@@ -318,7 +327,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
     p.add_argument("--samples", type=int, default=1000, help="MC dropout sample count")
     p.add_argument("--rate", type=float, default=None,
                    help="MC dropout rate (default: the model's training rate)")
-    p.add_argument("--uncertainty", default="epistemic", choices=("epistemic", "aleatoric"),
+    p.add_argument("--uncertainty", default="epistemic", choices=EVIDENTIAL_CHANNELS,
                    help="evidential sigma channel")
     p.add_argument("--sqrt-uncertainty", action="store_true",
                    help="treat the evidential channels as variances and take roots")
@@ -354,7 +363,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
     r.add_argument("--out-pred", default=None,
                    help="recalibrated prediction CSV (default <out>.recalibrated.csv)")
     r.add_argument("--fit-on", default="split", choices=("split", "self"),
-                   help="fit the scalar on a held-out split (default) or on the whole file")
+                   help="fit the scalar on a held-out split or on the whole file")
     r.add_argument("--fit-fraction", type=float, default=0.5,
                    help="share of rows used to fit the scalar under --fit-on split")
     r.add_argument("--bracket-lo", type=float, default=1e-3, help="scalar search lower bound")

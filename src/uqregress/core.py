@@ -132,8 +132,31 @@ def _freeze(a) -> np.ndarray:
     return a
 
 
+def take(seq, rows):
+    """The entries of ``seq`` at ``rows`` (Python ints), as a tuple; None stays None."""
+    return None if seq is None else tuple(map(seq.__getitem__, rows))
+
+
+class _Rows:
+    """Row access shared by the two row records: an ``ids`` tuple, an optional
+    ``groups`` tuple and the array columns each record names in ``_columns``."""
+
+    _columns: tuple[str, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.ids)
+
+    def subset(self, indices):
+        """Row subset (preserving the given order), through the record's own constructor."""
+        idx = np.asarray(indices, dtype=np.intp)
+        rows = idx.tolist()
+        columns = {name: getattr(self, name)[idx] for name in self._columns}
+        return type(self)(ids=take(self.ids, rows), groups=take(self.groups, rows), **columns)
+
+
 @dataclass(frozen=True)
-class LabeledDataset:
+class LabeledDataset(_Rows):
     """Feature matrix + scalar targets (+ optional categorical group tags).
 
     Invariants are enforced at construction: N >= 1 rows, constant feature
@@ -145,6 +168,7 @@ class LabeledDataset:
     features: np.ndarray
     targets: np.ndarray
     groups: tuple[str, ...] | None = None
+    _columns = ("features", "targets")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ids", tuple(map(str, self.ids)))
@@ -168,23 +192,8 @@ class LabeledDataset:
         _check_unique(self.ids, "row")
 
     @property
-    def n(self) -> int:
-        return len(self.ids)
-
-    @property
     def dim(self) -> int:
         return int(self.features.shape[1])
-
-    def subset(self, indices) -> "LabeledDataset":
-        """Row subset (preserving the given order)."""
-        idx = np.asarray(indices, dtype=np.intp)
-        rows = idx.tolist()
-        return LabeledDataset(
-            ids=tuple(map(self.ids.__getitem__, rows)),
-            features=self.features[idx],
-            targets=self.targets[idx],
-            groups=None if self.groups is None else tuple(map(self.groups.__getitem__, rows)),
-        )
 
 
 @dataclass(frozen=True)
@@ -198,7 +207,7 @@ class DatasetFile:
 
 
 @dataclass(frozen=True)
-class PredictionSet:
+class PredictionSet(_Rows):
     """Aligned (y_true, mu, sigma) triple that every UQ metric consumes.
 
     Construction only coerces dtypes; run :func:`validate_prediction_set` to
@@ -210,6 +219,7 @@ class PredictionSet:
     mu: np.ndarray
     sigma: np.ndarray
     groups: tuple[str, ...] | None = None
+    _columns = ("y_true", "mu", "sigma")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ids", tuple(map(str, self.ids)))
@@ -218,26 +228,11 @@ class PredictionSet:
         if self.groups is not None:
             object.__setattr__(self, "groups", tuple(map(str, self.groups)))
 
-    @property
-    def n(self) -> int:
-        return len(self.ids)
-
     def with_sigma(self, sigma) -> "PredictionSet":
         """This set with ``sigma`` replaced; the other columns are shared, not copied."""
         p = copy.copy(self)
         object.__setattr__(p, "sigma", _freeze(np.ravel(sigma)))
         return p
-
-    def subset(self, indices) -> "PredictionSet":
-        idx = np.asarray(indices, dtype=np.intp)
-        rows = idx.tolist()
-        return PredictionSet(
-            ids=tuple(map(self.ids.__getitem__, rows)),
-            y_true=self.y_true[idx],
-            mu=self.mu[idx],
-            sigma=self.sigma[idx],
-            groups=None if self.groups is None else tuple(map(self.groups.__getitem__, rows)),
-        )
 
 
 def validate_prediction_set(p: PredictionSet) -> PredictionSet:

@@ -91,7 +91,7 @@ class TrainConfig:
         if self.reg_weight > 0.2:
             warnings.warn(
                 f"evidential regularization weight {self.reg_weight} > 0.2 is prone to divergence",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass-generated __init__, to its caller
             )
 
 

@@ -34,36 +34,23 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Rational forms of cephes ``ndtr.c`` (Stephen L. Moshier, BSD licence), the
 # erf/erfc scipy.special evaluates: T/U give erf on |x| < 1, P/Q and R/S give
-# erfc on [1, 8) and [8, inf). Highest degree first; U, Q and S omit their
-# leading 1.
-_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-          7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-          2.26290000613890934246e4, 4.92673942608635921086e4)
-_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-           1.65666309194161350182e3, 5.57535340817727675546e2)
-_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+# erfc on [1, 8) and [8, inf). Lowest degree first, for ``_horner``; U, Q and S
+# end in the leading 1 that cephes' ``p1evl`` leaves implicit.
+_ERF_T = (5.55923013010394962768e4, 7.00332514112805075473e3, 2.23200534594684319226e3,
+          9.00260197203842689217e1, 9.60497373987051638749e0)
+_ERF_U = (4.92673942608635921086e4, 2.26290000613890934246e4, 4.59432382970980127987e3,
+          5.21357949780152679795e2, 3.35617141647503099647e1, 1.0)
+_ERFC_P = (5.57535335369399327526e2, 1.02755188689515710272e3, 9.34528527171957607540e2,
+           5.26445194995477358631e2, 1.96520832956077098242e2, 4.86371970985681366614e1,
+           7.46321056442269912687e0, 5.64189564831068821977e-1, 2.46196981473530512524e-10)
+_ERFC_Q = (5.57535340817727675546e2, 1.65666309194161350182e3, 2.24633760818710981792e3,
+           1.82390916687909736289e3, 9.75708501743205489753e2, 3.54937778887819891062e2,
+           8.67072140885989742329e1, 1.32281951154744992508e1, 1.0)
+_ERFC_R = (2.97886665372100240670e0, 7.40974269950448939160e0, 6.16021097993053585195e0,
+           5.01905042251180477414e0, 1.27536670759978104416e0, 5.64189583547755073984e-1)
+_ERFC_S = (3.36907645100081516050e0, 9.60896809063285878198e0, 1.70814450747565897222e1,
+           1.20489539808096656605e1, 9.39603524938001434673e0, 2.26052863220117276590e0, 1.0)
 _MAXLOG = 7.09782712893383996843e2  # erfc(x) is taken as 0 (or 2) once x*x > _MAXLOG
-
-
-def _ratio(x: np.ndarray, num: tuple, den: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """cephes ``polevl(x, num)`` and ``p1evl(x, den)``: Horner, in the same order."""
-    p = np.full_like(x, num[0])
-    for c in num[1:]:
-        p *= x
-        p += c
-    q = x + den[0]
-    for c in den[1:]:
-        q *= x
-        q += c
-    return p, q
 
 
 def _erfc(a: np.ndarray) -> np.ndarray:
@@ -74,13 +61,12 @@ def _erfc(a: np.ndarray) -> np.ndarray:
     out = np.zeros_like(a)
     inner = x < 1.0  # erfc = 1 - erf(a)
     s = a[inner]
-    p, q = _ratio(s * s, _ERF_T, _ERF_U)
-    out[inner] = 1.0 - s * p / q
+    s2 = s * s
+    out[inner] = 1.0 - s * _horner(s2, _ERF_T) / _horner(s2, _ERF_U)
     for band, (num, den) in (((x < 8.0) & ~inner, (_ERFC_P, _ERFC_Q)),
                              ((x >= 8.0) & ~under, (_ERFC_R, _ERFC_S))):
         t = x[band]
-        p, q = _ratio(t, num, den)
-        out[band] = np.exp(-t * t) * p / q
+        out[band] = np.exp(-t * t) * _horner(t, num) / _horner(t, den)
     np.subtract(2.0, out, out=out, where=(a < 0.0) & ~inner)
     return out
 

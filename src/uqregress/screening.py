@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PredictionSet, validate_prediction_set
+from .core import PredictionSet, take, validate_prediction_set
 from .errors import DomainError
 
 
@@ -61,10 +61,8 @@ def screen(p: PredictionSet, c: ScreenCriteria) -> ScreenReport:
     validate_prediction_set(p)
     selected = (p.mu >= c.value_lo) & (p.mu <= c.value_hi) & (p.sigma <= c.sigma_max)
     honest = selected & (np.abs(p.y_true - p.mu) <= c.honesty_multiplier * p.sigma)
-    sel_ids = tuple(p.ids[i] for i in np.flatnonzero(selected))
-    honest_ids = tuple(p.ids[i] for i in np.flatnonzero(honest))
-    dishonest_ids = tuple(p.ids[i] for i in np.flatnonzero(selected & ~honest))
-    return ScreenReport(selected_ids=sel_ids, honest_ids=honest_ids, dishonest_ids=dishonest_ids)
+    masks = (selected, honest, selected & ~honest)  # ScreenReport's field order
+    return ScreenReport(*(take(p.ids, np.flatnonzero(m).tolist()) for m in masks))
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -20,6 +20,7 @@ from .neural import (MlpConfig, MlpModel, TrainConfig, _forward_cached, _hidden_
                      predict, train)
 
 MEMBER_TRAINING_MODES = ("one_fold_each", "leave_one_fold_out")
+EVIDENTIAL_CHANNELS = ("epistemic", "aleatoric")  # the sigma evidential_predict can report
 
 # stream namespaces: fold shuffling, member init, member training
 _FOLD_NS = 11
@@ -151,8 +152,8 @@ def evidential_predict(
         raise WrongHeadWidthError(
             f"evidential prediction needs a 4-unit head, model has {m.config.layer_widths[-1]}"
         )
-    if uncertainty not in ("epistemic", "aleatoric"):
-        raise DomainError(f"uncertainty must be 'epistemic' or 'aleatoric', got {uncertainty!r}")
+    if uncertainty not in EVIDENTIAL_CHANNELS:
+        raise DomainError(f"uncertainty must be one of {EVIDENTIAL_CHANNELS}, got {uncertainty!r}")
     raw = predict(m, test.features)
     gamma, nu, alpha, beta = ev.head_transform(raw)
     aleatoric, epistemic = ev.uncertainty_channels(nu, alpha, beta, apply_sqrt=apply_sqrt)

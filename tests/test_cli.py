@@ -2,12 +2,13 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
 from uqregress import io
-from uqregress.cli import main
+from uqregress.cli import build_parser, main
 from uqregress.report import report_from_dict
 
 FAST_TRAIN = ["--hidden", "8", "--epochs", "4", "--batch-size", "32", "--learning-rate", "0.01"]
@@ -37,6 +38,21 @@ def workspace(tmp_path_factory):
                    "--test", data / "test.csv", "--out", out, "--seed", 5, *extra) == 0
         preds[method] = out
     return {"root": root, "data": data, "models": models, "preds": preds}
+
+
+COMMANDS = ("generate", "train", "predict", "evaluate", "adversarial", "recalibrate", "screen")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_states_each_default_at_most_once(command):
+    _, sub = build_parser()
+    options = sub.choices[command].format_help().split("options:", 1)[1]
+    # a line indented by two spaces and a dash opens the next flag's entry
+    entries = [" ".join(e.split()) for e in re.split(r"\n(?=  -)", options)[1:]]
+    assert len(entries) == len(sub.choices[command]._actions)
+    for entry in entries:
+        assert entry.count("default") <= 1, entry
+        assert "None" not in entry, entry
 
 
 class TestGenerate:

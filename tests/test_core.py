@@ -1,5 +1,7 @@
 """Data model invariants, validation errors, fold splitting, RNG contract."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -125,19 +127,6 @@ class TestLabeledDataset:
         with pytest.raises(DomainError):
             LabeledDataset(ids=(), features=np.empty((0, 1)), targets=[])
 
-    def test_subset_preserves_order(self):
-        ds = small_dataset(5)
-        sub = ds.subset([3, 1])
-        assert sub.ids == ("r3", "r1")
-        np.testing.assert_array_equal(sub.features, ds.features[[3, 1]])
-
-    def test_subset_takes_targets_and_groups_with_the_rows(self):
-        ds = LabeledDataset(ids=("a", "b", "c"), features=[[1.0], [2.0], [3.0]],
-                            targets=[10.0, 20.0, 30.0], groups=("g0", "g1", "g2"))
-        sub = ds.subset(np.array([2, 0]))
-        assert sub.ids == ("c", "a") and sub.groups == ("g2", "g0")
-        np.testing.assert_array_equal(sub.targets, [30.0, 10.0])
-
     def test_one_dimensional_features_are_one_row(self):
         ds = LabeledDataset(ids=("a",), features=[1.0, 2.0, 3.0], targets=[0.0])
         assert ds.features.shape == (1, 3) and ds.dim == 3
@@ -146,6 +135,62 @@ class TestLabeledDataset:
         ds = small_dataset(4)
         with pytest.raises(ValueError):
             ds.features[0, 0] = 99.0
+
+
+def small_predictions(n=10, seed=0):
+    rng = np.random.default_rng(seed)
+    return make_pset(rng.normal(size=n), rng.normal(size=n), rng.uniform(size=n),
+                     ids=[f"r{i}" for i in range(n)])
+
+
+def three_rows(record, groups=("g0", "g1", "g2")):
+    """Rows a, b, c with targets (y_true for a prediction set) 10, 20, 30."""
+    if record is LabeledDataset:
+        return LabeledDataset(ids=("a", "b", "c"), features=[[1.0], [2.0], [3.0]],
+                              targets=[10.0, 20.0, 30.0], groups=groups)
+    return make_pset([10.0, 20.0, 30.0], [1.0, 2.0, 3.0], [0.1, 0.2, 0.3],
+                     groups=groups, ids=("a", "b", "c"))
+
+
+def array_columns(record) -> dict[str, np.ndarray]:
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)
+            if isinstance(getattr(record, f.name), np.ndarray)}
+
+
+RECORDS = pytest.mark.parametrize("record", [LabeledDataset, PredictionSet],
+                                  ids=["dataset", "prediction_set"])
+
+
+class TestSubset:
+    """Both row records share one subset: ids, groups and every array column
+    follow the rows."""
+
+    @RECORDS
+    def test_subset_preserves_order(self, record):
+        full = small_dataset(5) if record is LabeledDataset else small_predictions(5)
+        sub = full.subset([3, 1])
+        assert sub.ids == ("r3", "r1") and sub.n == 2 and type(sub) is record
+        for name, column in array_columns(full).items():
+            np.testing.assert_array_equal(getattr(sub, name), column[[3, 1]])
+
+    @RECORDS
+    def test_subset_takes_targets_and_groups_with_the_rows(self, record):
+        full = three_rows(record)
+        sub = full.subset(np.array([2, 0]))
+        assert sub.ids == ("c", "a") and sub.groups == ("g2", "g0")
+        targets = sub.targets if record is LabeledDataset else sub.y_true
+        np.testing.assert_array_equal(targets, [30.0, 10.0])
+        for name, column in array_columns(full).items():
+            np.testing.assert_array_equal(getattr(sub, name), column[[2, 0]])
+
+    @RECORDS
+    def test_subset_without_groups_has_none(self, record):
+        assert three_rows(record, groups=None).subset([1]).groups is None
+
+    def test_repeated_index_rechecks_a_dataset_only(self):
+        with pytest.raises(DuplicateIdError, match="duplicate id 'b' at row 1"):
+            three_rows(LabeledDataset).subset([1, 1])
+        assert three_rows(PredictionSet).subset([1, 1]).ids == ("b", "b")
 
 
 class TestSplitKFolds:

@@ -151,8 +151,9 @@ class TestConfigValidation:
             MlpConfig((3, 4, 1), dropout_rate=0.6)
 
     def test_reg_weight_above_02_warns(self):
-        with pytest.warns(UserWarning, match="0.2"):
+        with pytest.warns(UserWarning, match="0.2") as record:
             TrainConfig(epochs=1, batch_size=8, learning_rate=0.1, reg_weight=0.25)
+        assert record[0].filename == __file__  # the caller, not the generated __init__
 
 
 class TestLossAndGradient:

@@ -6,6 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
+import ndtr_reference
+from uqregress import numerics
 from uqregress.errors import DegenerateSampleError, DomainError
 from uqregress.numerics import (
     _SQRT_2PI,
@@ -62,6 +64,34 @@ class TestStdNormalCdf:
     def test_rejects_nan(self):
         with pytest.raises(DomainError):
             std_normal_cdf(float("nan"))
+
+
+def _band_edges() -> np.ndarray:
+    """erfc's band edges |a| = 1, 8 and sqrt(MAXLOG), each +-1 ulp, of both signs."""
+    edges = np.array([1.0, 8.0, math.sqrt(ndtr_reference.MAXLOG)])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    return np.concatenate([edges, -edges])
+
+
+class TestCephesReference:
+    """Φ and erfc equal the polevl/p1evl loops over cephes' own tables, bit for bit."""
+
+    SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf])
+
+    def test_erfc_at_band_edges_and_specials(self):
+        a = np.concatenate([_band_edges(), self.SPECIAL])
+        np.testing.assert_array_equal(numerics._erfc(a), ndtr_reference.erfc(a))
+
+    def test_cdf_at_band_edges_and_specials(self):
+        # the edges in Φ's own argument and the Φ inputs nearest erfc's edges
+        edges = _band_edges()
+        x = np.concatenate([edges, edges * math.sqrt(2.0), self.SPECIAL])
+        np.testing.assert_array_equal(std_normal_cdf(x), ndtr_reference.std_normal_cdf(x))
+
+    def test_cdf_on_normal_draws(self, rng):
+        # scale 10 puts a quarter of the draws in the |a| >= 8 band
+        x = rng.normal(0.0, 10.0, 1_000_000)
+        np.testing.assert_array_equal(std_normal_cdf(x), ndtr_reference.std_normal_cdf(x))
 
 
 def quantile_bisection(p: float, lo=-10.0, hi=10.0) -> float:

@@ -55,6 +55,18 @@ class TestScreen:
         order = [p.ids.index(i) for i in a.selected_ids]
         assert order == sorted(order)
 
+    def test_ids_follow_input_order_with_groups(self):
+        # ids out of sorted order, selection interleaved with rejected rows
+        p = make_pset(y_true=[0.0, 9.0, 0.3, 9.0, 0.01, 0.0],
+                      mu=[0.0, 9.0, 0.05, 0.0, 0.0, -0.05],
+                      sigma=[0.01, 0.01, 0.04, 0.5, 0.02, 0.01],
+                      groups=("g1", "g0", "g1", "g0", "g1", "g0"),
+                      ids=("z", "y", "m", "x", "b", "a"))
+        rep = screen(p, default_criteria())
+        assert rep.selected_ids == ("z", "m", "b", "a")
+        assert rep.honest_ids == ("z", "b")
+        assert rep.dishonest_ids == ("m", "a")
+
     def test_joint_sigma_scaling_leaves_selection_unchanged(self, rng):
         n = 200
         p = make_pset(rng.normal(0, 0.1, n), rng.normal(0, 0.1, n), rng.uniform(0, 0.1, n))
