@@ -21,7 +21,7 @@ import numpy as np
 
 from . import io
 from .calibration import DEFAULT_GRID_SIZE, adversarial_group_calibration, calibration_curve
-from .core import RngSeed, validate_prediction_set
+from .core import RngSeed, check_size, validate_prediction_set
 from .datagen import generate_synthetic
 from .errors import DegenerateSampleError, DomainError, FileParseError, UqError
 from .metrics import distribution_summary
@@ -51,21 +51,12 @@ _RECAL_SPLIT_NS = 41
 METHODS = ("ensemble", "dropout", "evidential")
 
 
-def _hidden(text: str) -> tuple[int, ...]:
+def _list_flag(text: str, flag: str, parse, kind: str) -> list:
+    """The entries of a comma-separated list flag, blank entries skipped."""
     try:
-        hid = tuple(int(w) for w in text.split(",") if w.strip())
+        return [parse(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
-        raise DomainError(f"--hidden must be comma-separated integers, got {text!r}") from exc
-    if not hid:
-        raise DomainError("--hidden must name at least one hidden layer")
-    return hid
-
-
-def _fractions(text: str) -> list[float]:
-    try:
-        return [float(t) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
-        raise DomainError(f"--fractions must be comma-separated numbers, got {text!r}") from exc
+        raise DomainError(f"{flag} must be comma-separated {kind}, got {text!r}") from exc
 
 
 def _read_train_dataset(path):
@@ -96,7 +87,9 @@ def cmd_generate(args, written: list[str]) -> None:
 
 
 def cmd_train(args, written: list[str]) -> None:
-    hidden = _hidden(args.hidden)  # a bad value fails before the CSV is read
+    hidden = _list_flag(args.hidden, "--hidden", int, "integers")  # fails before the CSV is read
+    if not hidden:
+        raise DomainError("--hidden must name at least one hidden layer")
     data = _read_train_dataset(args.train)
     base = RngSeed(args.seed)
     evidential = args.method == "evidential"
@@ -159,6 +152,7 @@ def _require_predictions(path):
 def cmd_evaluate(args, written: list[str]) -> None:
     if args.violin_points < 1:
         raise DomainError(f"--violin-points must be >= 1, got {args.violin_points}")
+    check_size(args.violin_points, "--violin-points")  # the grid is sized after the curve is written
     p = _require_predictions(args.pred)
     report, curve = evaluate(p, grid_size=args.grid_size, honesty_multiplier=args.honesty_multiplier)
     out = Path(args.out)
@@ -179,7 +173,7 @@ def cmd_evaluate(args, written: list[str]) -> None:
 
 
 def cmd_adversarial(args, written: list[str]) -> None:
-    fractions = _fractions(args.fractions)
+    fractions = _list_flag(args.fractions, "--fractions", float, "numbers")
     p = _require_predictions(args.pred)
     adv = adversarial_group_calibration(
         p, fractions, trials=args.trials, subgroups=args.subgroups,
@@ -190,12 +184,14 @@ def cmd_adversarial(args, written: list[str]) -> None:
 
 
 def cmd_recalibrate(args, written: list[str]) -> None:
+    if args.fit_on == "split" and not 0.0 < args.fit_fraction <= 1.0:
+        raise DomainError(f"--fit-fraction must lie in (0, 1], got {args.fit_fraction}")
     p = _require_predictions(args.pred)
     holdout = None
     if args.fit_on == "split":
         perm = RngSeed(args.seed).derive(_RECAL_SPLIT_NS).generator().permutation(p.n)
         n_fit = int(round(args.fit_fraction * p.n))
-        if n_fit < 2 or p.n - n_fit < 0:
+        if n_fit < 2:
             raise DomainError(f"fit fraction {args.fit_fraction} leaves {n_fit} fit rows")
         fit_set = p.subset(np.sort(perm[:n_fit]))
         holdout_idx = np.sort(perm[n_fit:])
@@ -469,12 +465,15 @@ def main(argv=None) -> int:
                   if getattr(args, k, None)]
         for out in written:
             io.write_manifest(out, args.command, config, inputs, written, started)
-    except (UqError, OSError, MemoryError) as exc:
-        # a failed run leaves none of its outputs behind, nor their manifests;
-        # a flag that sizes an array can ask for more memory than exists
+    except BaseException as exc:
+        # a failed run leaves none of its outputs behind, nor their manifests
         for out in written:
             Path(out).unlink(missing_ok=True)
             io.manifest_path(out).unlink(missing_ok=True)
+        # a flag that sizes an array can ask for more memory than exists; any
+        # other exception is a missing check, and its traceback says where
+        if not isinstance(exc, (UqError, OSError, MemoryError)):
+            raise
         print(f"uqregress: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -107,6 +107,20 @@ def counter_uniform(seed: RngSeed, *index_arrays, out: np.ndarray | None = None)
     return np.multiply(x, 2.0**-53, out=x.view(np.float64) if out is None else out)
 
 
+# the most float64 values one numpy array can hold: its byte count must fit an intp
+MAX_ARRAY_SIZE = np.iinfo(np.intp).max // 8
+
+
+def check_size(size: int, what: str) -> int:
+    """``size`` if a float64 array of that many values can exist; otherwise a
+    DomainError naming ``what``, where numpy would raise a bare ValueError or
+    OverflowError. Sizes below the limit may still exceed memory."""
+    if size > MAX_ARRAY_SIZE:
+        raise DomainError(
+            f"{what} is {size}, more than the {MAX_ARRAY_SIZE} values a float64 array can hold")
+    return size
+
+
 def _check_finite(ids: tuple[str, ...], name: str, values: np.ndarray, unit: str) -> None:
     """NonFiniteValueError naming the row (``unit`` 'row' or 'index') that
     holds the first non-finite value of ``values``, one row per id."""
@@ -269,11 +283,4 @@ def split_k_folds(d: LabeledDataset, k: int, seed: RngSeed) -> list[LabeledDatas
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     perm = seed.generator().permutation(d.n)
-    base, extra = divmod(d.n, k)
-    folds = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append(d.subset(perm[start : start + size]))
-        start += size
-    return folds
+    return [d.subset(rows) for rows in np.array_split(perm, k)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DatasetFile, LabeledDataset, PredictionSet, RngSeed
+from .core import DatasetFile, LabeledDataset, PredictionSet, RngSeed, check_size
 from .errors import DomainError
 
 NOISE_FLOOR = 0.05
@@ -45,6 +45,8 @@ def generate_synthetic(n: int, dim: int, seed: RngSeed, n_groups: int = 0) -> Da
         raise DomainError(f"dim must be >= 1, got {dim}")
     if n_groups < 0:
         raise DomainError(f"n_groups must be >= 0, got {n_groups}")
+    check_size(n * dim, "n * dim")
+    check_size(n_groups, "n_groups")  # group bins are compared as int64
     if n == 0:
         return DatasetFile(dataset=None, true_sigma=np.empty(0), dim=dim)
     rng = seed.generator()

@@ -383,7 +383,7 @@ def _float_arrays(values: list, shapes: list, where: str, key: str) -> list[np.n
             a = np.empty(0, dtype=object)
         if a.dtype.kind not in "iuf" or not np.all(np.isfinite(a)):
             raise ReportSchemaError(f"{where}: key {key!r} must hold finite numeric arrays")
-        out.append(a.astype(np.float64))
+        out.append(a)
     got = [a.shape for a in out]
     if got != shapes:
         raise FileParseError(f"{where}: {key} shapes {got} do not match the widths, which need {shapes}")
@@ -409,7 +409,10 @@ def _model_from_dict(d, where: str) -> MlpModel:
     w = cfg.layer_widths
     weights = _float_arrays(d["weights"], list(zip(w[:-1], w[1:])), where, "weights")
     biases = _float_arrays(d["biases"], [(n,) for n in w[1:]], where, "biases")
-    return MlpModel(weights=weights, biases=biases, config=cfg)
+    m = MlpModel(cfg)  # sized by the widths only now that the arrays' shapes match them
+    for view, a in zip(m.weights + m.biases, weights + biases):
+        view[...] = a
+    return m
 
 
 def save_model(path, m: MlpModel) -> None:

@@ -5,6 +5,7 @@ implemented directly on numpy arrays so every gradient is analytic and
 checkable against finite differences. The output head is either 1 unit
 (plain regression, squared-error loss) or 4 units (evidential head).
 Hidden layers carry the activation and dropout; the output layer is linear.
+Parameters live in one float64 buffer, each gradient in one of the same layout.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evidential as ev
-from .core import LabeledDataset, RngSeed, counter_uniform
+from .core import LabeledDataset, RngSeed, check_size, counter_uniform
 from .errors import (
     DivergenceError,
     DomainError,
@@ -95,25 +96,39 @@ class TrainConfig:
             )
 
 
-@dataclass
-class MlpModel:
-    """Parameter container; mutated only by :func:`train`."""
+def _layer_views(flat: np.ndarray, widths) -> tuple[tuple, tuple]:
+    """Each layer's (fan_in, fan_out) weight and (fan_out,) bias as views of
+    ``flat``, which holds them layer by layer: W0, b0, W1, b1, ..."""
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        weights.append(flat[start : start + fan_in * fan_out].reshape(fan_in, fan_out))
+        start += fan_in * fan_out
+        biases.append(flat[start : start + fan_out])
+        start += fan_out
+    return tuple(weights), tuple(biases)
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    config: MlpConfig
+
+class MlpModel:
+    """An architecture and its parameters, all in one float64 buffer ``params``
+    (zero until set); mutated only by :func:`train`. The ``weights`` and
+    ``biases`` tuples hold each layer's views of the buffer."""
+
+    def __init__(self, config: MlpConfig) -> None:
+        w = config.layer_widths
+        size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(w[:-1], w[1:]))
+        self.config = config
+        self.params = np.zeros(check_size(size, f"the parameter count of layer widths {w}"))
+        self.weights, self.biases = _layer_views(self.params, w)
 
     @classmethod
     def initialize(cls, config: MlpConfig) -> "MlpModel":
-        """Kaiming-style scaled-uniform init, seeded by config.seed."""
+        """Kaiming-style scaled-uniform weights and zero biases, seeded by config.seed."""
         rng = config.seed.generator()
-        weights, biases = [], []
-        widths = config.layer_widths
-        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            bound = np.sqrt(6.0 / fan_in)
-            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
-        return cls(weights=weights, biases=biases, config=config)
+        m = cls(config)
+        for w in m.weights:
+            bound = np.sqrt(6.0 / w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+        return m
 
     @property
     def n_layers(self) -> int:
@@ -162,23 +177,23 @@ def _forward_cached(m: MlpModel, X: np.ndarray, masks: list[np.ndarray] | None, 
     return layer_inputs, pre_acts, raw
 
 
-def _backward(m: MlpModel, layer_inputs, pre_acts, masks, d_raw: np.ndarray):
-    """Gradients of the batch-mean loss given per-sample d(loss)/d(raw)."""
+def _backward(m: MlpModel, layer_inputs, pre_acts, masks, d_raw: np.ndarray) -> np.ndarray:
+    """Gradient of the batch-mean loss given per-sample d(loss)/d(raw), in a
+    buffer laid out like ``m.params``."""
     _, act_deriv = _ACTIVATIONS[m.config.activation]
-    n = d_raw.shape[0]
-    grads_w = [None] * m.n_layers
-    grads_b = [None] * m.n_layers
+    grad = np.empty_like(m.params)
+    grads_w, grads_b = _layer_views(grad, m.config.layer_widths)
     delta = d_raw
-    grads_w[-1] = layer_inputs[-1].T @ delta / n
-    grads_b[-1] = delta.sum(axis=0) / n
-    for l in range(m.n_layers - 2, -1, -1):
-        delta = delta @ m.weights[l + 1].T
-        if masks is not None:
-            delta = delta * masks[l]
-        delta = delta * act_deriv(pre_acts[l])
-        grads_w[l] = layer_inputs[l].T @ delta / n
-        grads_b[l] = delta.sum(axis=0) / n
-    return list(zip(grads_w, grads_b))
+    for l in range(m.n_layers - 1, -1, -1):
+        np.matmul(layer_inputs[l].T, delta, out=grads_w[l])
+        np.sum(delta, axis=0, out=grads_b[l])
+        if l > 0:
+            delta = delta @ m.weights[l].T
+            if masks is not None:
+                delta = delta * masks[l - 1]
+            delta = delta * act_deriv(pre_acts[l - 1])
+    grad /= len(d_raw)  # sums to batch means
+    return grad
 
 
 def predict(m: MlpModel, features: np.ndarray) -> np.ndarray:
@@ -207,8 +222,9 @@ def _per_sample_loss_and_draw(m: MlpModel, raw: np.ndarray, y: np.ndarray, reg_w
 
 
 def _loss_and_grads(m, X, y, sample_id, reg_weight, masks):
-    """Batch-mean loss and gradients; ``sample_id(row)`` names a batch row
-    and is called only to report a non-finite loss."""
+    """Batch-mean loss and its gradient, laid out like ``m.params``;
+    ``sample_id(row)`` names a batch row and is called only to report a
+    non-finite loss."""
     layer_inputs, pre_acts, raw = _forward_cached(m, X, masks)
     if not np.isfinite(raw).all():  # the evidential head's domain checks would not name the sample
         i = int(np.argmax(~np.isfinite(raw).all(axis=1)))
@@ -241,21 +257,9 @@ def loss_and_gradient(
     rate = m.config.dropout_rate
     if dropout_seed is not None and rate > 0.0:
         masks = _hidden_masks(m, counter_uniform(dropout_seed, *_mask_index(m, batch.n, 0)), rate)
-    return _loss_and_grads(m, batch.features, batch.targets, batch.ids.__getitem__, reg_weight,
-                           masks)
-
-
-def _flatten_parameters(m: MlpModel) -> np.ndarray:
-    """Copy every weight and bias into one float64 buffer and make the
-    model's arrays views into it, so one ``isfinite`` call checks them all."""
-    arrays = [a for pair in zip(m.weights, m.biases) for a in pair]
-    flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
-    views, start = [], 0
-    for a in arrays:
-        views.append(flat[start : start + a.size].reshape(a.shape))
-        start += a.size
-    m.weights[:], m.biases[:] = views[0::2], views[1::2]
-    return flat
+    loss, grad = _loss_and_grads(m, batch.features, batch.targets, batch.ids.__getitem__,
+                                 reg_weight, masks)
+    return loss, list(zip(*_layer_views(grad, m.config.layer_widths)))
 
 
 def train(m: MlpModel, data: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel, list[float]]:
@@ -265,12 +269,10 @@ def train(m: MlpModel, data: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel
     Batch order is a fresh seeded shuffle each epoch; dropout masks (when the
     model has a nonzero rate) come from the counter under a per-epoch seed,
     keyed by (batch row, step, layer, unit).
-    Bit-reproducible for identical seeds. Afterwards the model's weights and
-    biases are views into one flat buffer.
+    Bit-reproducible for identical seeds.
     """
     if data.features.shape[1] != m.input_dim:
         raise ShapeMismatchError(f"data dim {data.features.shape[1]}, model expects {m.input_dim}")
-    params = _flatten_parameters(m)
     history: list[float] = []
     rate = m.config.dropout_rate
 
@@ -294,11 +296,9 @@ def train(m: MlpModel, data: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel
                 if rate > 0.0:
                     masks = _hidden_masks(m, counter_uniform(mask_seed, *_mask_index(m, len(y), step)),
                                           rate)
-                loss, grads = _loss_and_grads(m, X, y, sample_id, cfg.reg_weight, masks)
-                for w, b, (gw, gb) in zip(m.weights, m.biases, grads):
-                    w -= lr * gw
-                    b -= lr * gb
-                if not np.isfinite(params).all():
+                loss, grad = _loss_and_grads(m, X, y, sample_id, cfg.reg_weight, masks)
+                m.params -= lr * grad
+                if not np.isfinite(m.params).all():
                     l = next(l for l in range(m.n_layers)
                              if not (np.isfinite(m.weights[l]).all() and np.isfinite(m.biases[l]).all()))
                     raise DivergenceError(

@@ -260,6 +260,27 @@ class TestRecalibrate:
         assert result["holdout"]["n"] == 1000
         assert result["holdout"]["area_after"] < result["holdout"]["area_before"]
 
+    def test_fit_fraction_one_fits_every_row(self, workspace, tmp_path):
+        out = tmp_path / "recal.json"
+        assert run("recalibrate", "--pred", workspace["preds"]["ensemble"], "--out", out,
+                   "--fit-fraction", 1.0) == 0
+        result = json.loads(out.read_text())
+        assert result["n_fit"] == result["n_total"] == 120 and result["holdout"] is None
+
+    @pytest.mark.parametrize("fraction", [1.5, -0.5, 0.0])
+    def test_fit_fraction_outside_unit_interval_fails_before_the_csv_is_read(
+            self, tmp_path, capsys, fraction):
+        assert run("recalibrate", "--pred", tmp_path / "missing.csv", "--out", tmp_path / "r.json",
+                   "--fit-fraction", fraction) == 1
+        _one_error_line(capsys, f"--fit-fraction must lie in (0, 1], got {fraction}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fit_fraction_leaving_one_fit_row_is_named(self, workspace, tmp_path, capsys):
+        assert run("recalibrate", "--pred", workspace["preds"]["ensemble"],
+                   "--out", tmp_path / "r.json", "--fit-fraction", 0.01) == 1
+        _one_error_line(capsys, "fit fraction 0.01 leaves 1 fit rows")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestScreen:
     def test_screen_report_contract(self, tmp_path):
@@ -506,11 +527,28 @@ class TestUnwritableInputs:
         ("evaluate", ["--violin-points", 10**18], "Unable to allocate 6.94 EiB"),
         ("evaluate", ["--grid-size", 10**18], "Unable to allocate 6.94 EiB"),
         ("adversarial", ["--trials", 10**18, "--fractions", 1.0], "Unable to allocate 6.94 EiB"),
+        # sizes no float64 array can have, refused before numpy is asked
+        ("generate", ["--n-train", 10**20], "n * dim is 400000000000000000000, more than"),
+        ("generate", ["--dim", 10**20], "n * dim is 500000000000000000000000, more than"),
+        ("generate", ["--n-train", 2**62], f"n * dim is {2**64}, more than"),
+        ("generate", ["--groups", 10**20], f"n_groups is {10**20}, more than"),
+        ("train", ["--hidden", 10**20],
+         f"the parameter count of layer widths (2, {10**20}, 1) is {4 * 10**20 + 1}, more than"),
+        ("evaluate", ["--grid-size", 10**20], f"grid_size is {10**20}, more than"),
+        ("evaluate", ["--grid-size", 2**63 - 1], f"grid_size is {2**63 - 1}, more than"),
+        ("evaluate", ["--violin-points", 10**20], f"--violin-points is {10**20}, more than"),
+        ("evaluate", ["--violin-points", 2**62], f"--violin-points is {2**62}, more than"),
+        ("adversarial", ["--trials", 10**20, "--fractions", 1.0], f"trials is {10**20}, more than"),
+        ("adversarial", ["--grid-size", 10**20, "--fractions", 1.0], f"grid_size is {10**20}, more"),
+        ("recalibrate", ["--grid-size", 10**20], f"grid_size is {10**20}, more than"),
     ])
     def test_work_size_flag_is_one_error_line(self, workspace, tmp_path, capsys, command, flags,
                                               needle):
-        assert run(command, "--pred", workspace["preds"]["ensemble"], "--out", tmp_path / "r.json",
-                   *flags) == 1
+        files = {"generate": ["--out", tmp_path / "data"],
+                 "train": ["--method", "dropout", "--train", workspace["data"] / "train.csv",
+                           "--out", tmp_path / "m.json"]}
+        assert run(command, *files.get(command, ["--pred", workspace["preds"]["ensemble"],
+                                                 "--out", tmp_path / "r.json"]), *flags) == 1
         _one_error_line(capsys, needle)
         assert list(tmp_path.iterdir()) == []
 

@@ -206,6 +206,12 @@ class TestSplitKFolds:
         ds = small_dataset(7)
         folds = split_k_folds(ds, 3, RngSeed(1))
         assert sorted(f.n for f in folds) == [2, 2, 3]
+        # the first n % k folds take the extra row, each a consecutive slice
+        # of the seeded permutation, in its order
+        assert [f.n for f in folds] == [3, 2, 2]
+        perm = RngSeed(1).generator().permutation(7)
+        assert [f.ids for f in folds] == [tuple(f"r{i}" for i in rows)
+                                          for rows in (perm[:3], perm[3:5], perm[5:])]
 
     def test_disjoint_and_covering(self):
         ds = small_dataset(53)

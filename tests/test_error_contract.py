@@ -94,8 +94,9 @@ def files_under(root: Path) -> set[str]:
     return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
 
 
-def check_contract(workdir: Path, argv: list[str]) -> None:
-    """Run ``argv`` inside ``workdir`` and check one of the two outcomes."""
+def check_contract(workdir: Path, argv: list[str]) -> int:
+    """Run ``argv`` inside ``workdir``, check one of the two outcomes and
+    return the exit code."""
     before = files_under(workdir)
     err = stdio.StringIO()
     cwd = os.getcwd()
@@ -115,6 +116,7 @@ def check_contract(workdir: Path, argv: list[str]) -> None:
         assert rc == 1
         assert len(lines) == 1 and lines[0].startswith("uqregress: error:"), lines
         assert new == set(), new
+    return rc
 
 
 def workdir_with(inputs, **files: bytes) -> Path:
@@ -163,3 +165,31 @@ def test_corrupt_config(inputs, data):
 def test_corrupt_flag_value(inputs, flag, value):
     workdir = workdir_with(inputs)
     check_contract(workdir, ["screen", "--pred", "pred.csv", "--out", "out.json", flag, value])
+
+
+TRAIN = ["train", "--method", "dropout", "--train", "test.csv", "--out", "m.json"]
+ENSEMBLE = ["train", "--method", "ensemble", "--train", "test.csv", "--out", "m.json"]
+PRED = ["--pred", "pred.csv", "--out", "out.json"]
+ADVERSARIAL = ["adversarial", *PRED, "--fractions", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--out", "data", "--n-train", "-1"],
+    ["generate", "--out", "data", "--dim", "0"],
+    ["generate", "--out", "data", "--groups", "-3"],
+    ["generate", "--out", "data", "--seed", "-1"],
+    ["generate", "--out", "data", "--seed", str(2**64)],
+    [*ENSEMBLE, "--k", "1"],
+    [*ENSEMBLE, "--k", "13"],  # test.csv holds 12 rows
+    [*TRAIN, "--batch-size", "0"],
+    [*TRAIN, "--epochs", "-1"],
+    [*TRAIN, "--hidden", "0"],
+    *([command, *PRED, "--grid-size", size] for command in ("evaluate", "recalibrate")
+      for size in ("0", "-5")),
+    [*ADVERSARIAL, "--grid-size", "0"],
+    [*ADVERSARIAL, "--grid-size", "-5"],
+    [*ADVERSARIAL, "--trials", "0"],
+    [*ADVERSARIAL, "--subgroups", "-1"],
+], ids=" ".join)
+def test_out_of_domain_int_flag(inputs, argv):
+    assert check_contract(workdir_with(inputs), argv) == 1

@@ -14,6 +14,7 @@ from uqregress.errors import (
     WrongHeadWidthError,
 )
 from uqregress.evidential import softplus
+from uqregress.io import load_checkpoint, save_model
 from uqregress.neural import (
     MlpConfig,
     MlpModel,
@@ -46,11 +47,11 @@ def set_params(m, vec):
     i = 0
     for l in range(m.n_layers):
         size = m.weights[l].size
-        m.weights[l] = vec[i : i + size].reshape(m.weights[l].shape).copy()
+        m.weights[l][...] = vec[i : i + size].reshape(m.weights[l].shape)
         i += size
     for l in range(m.n_layers):
         size = m.biases[l].size
-        m.biases[l] = vec[i : i + size].copy()
+        m.biases[l][...] = vec[i : i + size]
         i += size
 
 
@@ -90,9 +91,9 @@ def pinned_head_model(gamma, nu, alpha, beta, input_dim=1):
     cfg = MlpConfig((input_dim, 2, 4), activation="tanh", seed=RngSeed(0))
     m = MlpModel.initialize(cfg)
     for l in range(m.n_layers):
-        m.weights[l] = np.zeros_like(m.weights[l])
-        m.biases[l] = np.zeros_like(m.biases[l])
-    m.biases[-1] = np.array([
+        m.weights[l][...] = np.zeros_like(m.weights[l])
+        m.biases[l][...] = np.zeros_like(m.biases[l])
+    m.biases[-1][...] = np.array([
         gamma,
         inverse_softplus(nu - 1e-6),
         inverse_softplus(alpha - 1.0 - 1e-6),
@@ -107,8 +108,8 @@ class TestForward:
     def test_zero_network_outputs_zero(self):
         m = MlpModel.initialize(MlpConfig((3, 5, 1), seed=RngSeed(1)))
         for l in range(m.n_layers):
-            m.weights[l] = np.zeros_like(m.weights[l])
-            m.biases[l] = np.zeros_like(m.biases[l])
+            m.weights[l][...] = np.zeros_like(m.weights[l])
+            m.biases[l][...] = np.zeros_like(m.biases[l])
         assert predict(m, np.array([[1.0, -2.0, 3.0]]))[0, 0] == 0.0
 
     def test_zero_rate_dropout_is_noop(self):
@@ -161,9 +162,9 @@ class TestLossAndGradient:
         # constant-output net matching a constant target: zero loss, zero grads
         m = MlpModel.initialize(MlpConfig((1, 3, 1), seed=RngSeed(9)))
         for l in range(m.n_layers):
-            m.weights[l] = np.zeros_like(m.weights[l])
-            m.biases[l] = np.zeros_like(m.biases[l])
-        m.biases[-1] = np.array([2.5])
+            m.weights[l][...] = np.zeros_like(m.weights[l])
+            m.biases[l][...] = np.zeros_like(m.biases[l])
+        m.biases[-1][...] = np.array([2.5])
         batch = dataset_from(np.array([[0.1], [0.9]]), np.array([2.5, 2.5]))
         loss, grads = loss_and_gradient(m, batch)
         assert loss == 0.0
@@ -205,8 +206,8 @@ class TestLossAndGradient:
 
     def test_non_finite_loss_names_sample(self):
         m = MlpModel.initialize(MlpConfig((1, 2, 1), seed=RngSeed(14)))
-        m.weights[0] = np.full_like(m.weights[0], 1e200)
-        m.weights[1] = np.full_like(m.weights[1], 1e200)
+        m.weights[0][...] = np.full_like(m.weights[0], 1e200)
+        m.weights[1][...] = np.full_like(m.weights[1], 1e200)
         batch = dataset_from(np.array([[1.0]]), np.array([0.0]))
         with pytest.raises(NonFiniteLossError, match="'0'"):
             loss_and_gradient(m, batch)
@@ -236,8 +237,8 @@ class TestDropoutExpectation:
         m = MlpModel.initialize(cfg)
         rng = np.random.default_rng(16)
         for l in range(m.n_layers):
-            m.weights[l] = rng.uniform(0.1, 1.0, m.weights[l].shape)
-            m.biases[l] = rng.uniform(0.0, 0.5, m.biases[l].shape)
+            m.weights[l][...] = rng.uniform(0.1, 1.0, m.weights[l].shape)
+            m.biases[l][...] = rng.uniform(0.0, 0.5, m.biases[l].shape)
         x = np.array([0.7, 1.3])
         expected = predict(m, x[None, :])[0, 0]
         n_masks = 100_000
@@ -298,6 +299,37 @@ class TestTrain:
     def test_lr_decay_validation(self):
         with pytest.raises(DomainError):
             TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, lr_decay=-0.1)
+
+
+class TestParameterBuffer:
+    """Every weight and bias is a view of the model's one ``params`` buffer."""
+
+    @staticmethod
+    def assert_views_of_params(m):
+        layers = [a for pair in zip(m.weights, m.biases) for a in pair]
+        assert all(a.base is m.params for a in layers)
+        m.params[:] = np.arange(m.params.size)  # laid out W0, b0, W1, b1, ... in order
+        assert np.array_equal(np.concatenate([a.ravel() for a in layers]), m.params)
+
+    def test_views_after_initialize_train_and_load(self, tmp_path):
+        cfg = MlpConfig((3, 5, 4, 1), dropout_rate=0.1, seed=RngSeed(40))
+        m = MlpModel.initialize(cfg)
+        params, before = m.params, m.params.copy()
+        train(m, random_batch((3, 5, 4, 1), 32, 41),
+              TrainConfig(epochs=2, batch_size=8, learning_rate=0.01, seed=RngSeed(42)))
+        assert m.params is params and not np.array_equal(params, before)  # updated in place
+        save_model(tmp_path / "m.json", m)
+        loaded = load_checkpoint(tmp_path / "m.json")
+        assert np.array_equal(loaded.params, m.params)
+        for model in (MlpModel.initialize(cfg), m, loaded):
+            self.assert_views_of_params(model)
+
+    def test_a_layer_cannot_be_rebound(self):
+        m = MlpModel.initialize(MlpConfig((2, 3, 1), seed=RngSeed(43)))
+        with pytest.raises(TypeError):
+            m.weights[0] = np.zeros((2, 3))
+        with pytest.raises(TypeError):
+            m.biases[0] = np.zeros(3)
 
 
 TRAIN_RECIPES = {

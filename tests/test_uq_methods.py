@@ -39,8 +39,8 @@ def synthetic_pair(n_train=200, n_test=40, dim=2):
 def shifted_identity(shift):
     """A one-input relu net whose output is exactly x + shift for x >= 0."""
     m = MlpModel.initialize(MlpConfig((1, 1, 1), activation="relu", seed=RngSeed(0)))
-    m.weights[0], m.biases[0] = np.ones((1, 1)), np.zeros(1)
-    m.weights[1], m.biases[1] = np.ones((1, 1)), np.array([shift])
+    m.weights[0][...], m.biases[0][...] = np.ones((1, 1)), np.zeros(1)
+    m.weights[1][...], m.biases[1][...] = np.ones((1, 1)), np.array([shift])
     return m
 
 
@@ -129,9 +129,9 @@ class TestMcDropout:
         _, test = synthetic_pair()
         m = MlpModel.initialize(MlpConfig((2, 4, 1), dropout_rate=0.3, seed=RngSeed(7)))
         for l in range(m.n_layers):
-            m.weights[l] = np.zeros_like(m.weights[l])
-            m.biases[l] = np.zeros_like(m.biases[l])
-        m.biases[-1] = np.array([0.42])
+            m.weights[l][...] = np.zeros_like(m.weights[l])
+            m.biases[l][...] = np.zeros_like(m.biases[l])
+        m.biases[-1][...] = np.array([0.42])
         p = mc_dropout_predict(m, test, DropoutSpec(samples=64, rate=0.3, seed=RngSeed(8)))
         np.testing.assert_allclose(p.mu, 0.42)
         np.testing.assert_allclose(p.sigma, 0.0, atol=1e-12)
@@ -163,8 +163,8 @@ class TestMcDropout:
         m = MlpModel.initialize(MlpConfig((2, 4, 1), activation="relu",
                                           dropout_rate=0.25, seed=RngSeed(15)))
         for l in range(m.n_layers):
-            m.weights[l] = rng.uniform(0.1, 1.0, m.weights[l].shape)
-            m.biases[l] = rng.uniform(0.0, 0.3, m.biases[l].shape)
+            m.weights[l][...] = rng.uniform(0.1, 1.0, m.weights[l].shape)
+            m.biases[l][...] = rng.uniform(0.0, 0.3, m.biases[l].shape)
         X = rng.uniform(0.2, 2.0, size=(3, 2))
         test = dataset_from(X, np.zeros(3))
         p = mc_dropout_predict(m, test, DropoutSpec(samples=100_000, rate=0.25, seed=RngSeed(16)))

@@ -96,8 +96,8 @@ def train(m: MlpModel, data: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel
                 masks = _masks(m, cfg.seed.derive(_MASK_NS, epoch), step, len(idx))
             loss, grads = _loss_and_grads(m, X, y, batch_ids, cfg.reg_weight, masks)
             for l, (gw, gb) in enumerate(grads):
-                m.weights[l] = m.weights[l] - lr * gw
-                m.biases[l] = m.biases[l] - lr * gb
+                m.weights[l][...] = m.weights[l] - lr * gw
+                m.biases[l][...] = m.biases[l] - lr * gb
             for l in range(m.n_layers):
                 if not (np.all(np.isfinite(m.weights[l])) and np.all(np.isfinite(m.biases[l]))):
                     raise DivergenceError(
