@@ -11,8 +11,10 @@ the reference protocol: k=5 ensemble folds, 1000 dropout samples at rate
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -436,6 +438,16 @@ def _check_finite_floats(args, sp: argparse.ArgumentParser) -> None:
             raise DomainError(f"{action.option_strings[0]} must be a finite number, got {value}")
 
 
+def _missing_dirs(args) -> list[Path]:
+    """The directories an output flag names or lies in that do not exist
+    yet, deepest first: the ones a failed run may have to remove."""
+    paths = [Path(v) for k in ("out", "curve_out", "violin_out", "out_pred")
+             if (v := getattr(args, k, None))]
+    missing = {d for path in paths for d in (path, *path.parents)
+               if d.name != ".." and not os.path.exists(d)}
+    return sorted(missing, key=lambda d: len(d.parts), reverse=True)
+
+
 def _resolved_config(args) -> dict:
     skip = {"command", "config", "func"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
@@ -447,6 +459,7 @@ def main(argv=None) -> int:
     pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
     pre.add_argument("--config", nargs="?")  # a bare --config is left for `parser` to report
     written: list[str] = []
+    created: list[Path] = []
     try:
         config_path = pre.parse_known_args(argv)[0].config
         if config_path is not None:
@@ -454,6 +467,7 @@ def main(argv=None) -> int:
                 parser.error("--config requires a leading command name")
             _load_config_defaults(config_path, argv[0], sub)
         args = parser.parse_args(argv)
+        created = _missing_dirs(args)
         _check_finite_floats(args, sub.choices[args.command])
         started = time.time()
         # an overflow ends in an error that names the value, or in a null in
@@ -466,10 +480,14 @@ def main(argv=None) -> int:
         for out in written:
             io.write_manifest(out, args.command, config, inputs, written, started)
     except BaseException as exc:
-        # a failed run leaves none of its outputs behind, nor their manifests
+        # a failed run leaves none of its outputs behind, nor their manifests,
+        # nor a directory it created that is empty again
         for out in written:
             Path(out).unlink(missing_ok=True)
             io.manifest_path(out).unlink(missing_ok=True)
+        for d in created:
+            with contextlib.suppress(OSError):  # not there, not a directory, or not empty
+                d.rmdir()
         # a flag that sizes an array can ask for more memory than exists; any
         # other exception is a missing check, and its traceback says where
         if not isinstance(exc, (UqError, OSError, MemoryError)):

@@ -96,6 +96,10 @@ def _read_json(path: Path) -> dict:
         raise FileParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise FileParseError(f"{path}: byte {exc.start} is not UTF-8 text") from exc
+    except RecursionError as exc:
+        raise FileParseError(f"{path}: JSON nested too deeply to read") from exc
+    except ValueError as exc:  # an integer too long for int(), e.g. 5,000 digits
+        raise FileParseError(f"{path}: {str(exc).split(';')[0]}") from exc  # less the sys.* hint
 
 
 # --- CSV tables -------------------------------------------------------------
@@ -143,7 +147,11 @@ def _scan_rows(path: Path, data: bytes, layout) -> tuple[list[str], list]:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise FileParseError(f"{path}:{line}: byte {exc.start} is not UTF-8 text") from exc
-    rows = list(csv.reader(StringIO(text, newline="")))
+    reader = csv.reader(StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise FileParseError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows:
         raise FileParseError(f"{path}:1: empty file (expected a header row)")
     header = rows[0]

@@ -212,12 +212,10 @@ def _per_sample_loss_and_draw(m: MlpModel, raw: np.ndarray, y: np.ndarray, reg_w
         return resid**2, (2.0 * resid)[:, None]
     gamma, nu, alpha, beta = ev.head_transform(raw)
     losses = ev.nll_array(gamma, nu, alpha, beta, y)
-    dg, dn, da, db = ev.nll_gradients(gamma, nu, alpha, beta, y)
+    d_params = np.stack(ev.nll_gradients(gamma, nu, alpha, beta, y), axis=1)
     if reg_weight != 0.0:
         losses = losses + reg_weight * ev.regularizer_array(gamma, nu, alpha, y)
-        rg, rn, ra, rb = ev.regularizer_gradients(gamma, nu, alpha, y)
-        dg, dn, da, db = dg + reg_weight * rg, dn + reg_weight * rn, da + reg_weight * ra, db + reg_weight * rb
-    d_params = np.stack([dg, dn, da, db], axis=1)
+        d_params += reg_weight * np.stack(ev.regularizer_gradients(gamma, nu, alpha, y), axis=1)
     return losses, d_params * ev.head_transform_derivatives(raw)
 
 

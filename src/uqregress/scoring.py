@@ -1,9 +1,9 @@
 """Tightness: the negatively oriented mean interval score.
 
-Central Gaussian intervals mu ± Φ⁻¹(1 - a/2)·sigma are drawn at coverages
-1%..99% in 1% steps. Each level scores the interval width plus a (2/a)-scaled
-penalty for missing the truth; lower is tighter. Each point is scored by its
-mean over the 99 levels, and the set by the mean of those per-point means.
+Central Gaussian intervals mu ± h, h = Φ⁻¹(1 - a/2)·sigma, are drawn at
+coverages 1%..99% in 1% steps. Each level scores 2h + (2/a)·max(|y - mu| - h, 0):
+the width plus one hinge penalty for missing the truth; lower is tighter. Each
+point is scored by its mean over the 99 levels, the set by the mean of those.
 """
 
 from __future__ import annotations
@@ -38,13 +38,11 @@ def interval_score(p: PredictionSet) -> IntervalScoreReport:
     miss = 1.0 - COVERAGE_GRID  # a = 1 - coverage
     half_width_z = std_normal_quantile(1.0 - miss / 2.0)
 
-    resid = p.y_true - p.mu
+    abs_resid = np.abs(p.y_true - p.mu)
     totals = np.zeros(p.n, dtype=np.float64)
     # accumulate level by level: O(n) memory instead of n x levels
     for a, zq in zip(miss, half_width_z):
         half = zq * p.sigma
-        below = np.maximum(-half - resid, 0.0)   # y < lower bound
-        above = np.maximum(resid - half, 0.0)    # y > upper bound
-        totals += 2.0 * half + (2.0 / a) * (below + above)
+        totals += 2.0 * half + (2.0 / a) * np.maximum(abs_resid - half, 0.0)
     per_point = totals / COVERAGE_GRID.size
     return IntervalScoreReport(mean_score=float(per_point.mean()), per_point_scores=per_point)

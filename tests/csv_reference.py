@@ -3,9 +3,11 @@
 This is the prediction/dataset CSV code as it stood before the column-wise
 codec in ``uqregress.io``. The property tests hold the column codec to it:
 same bytes written, same values read back, and the same accept/reject
-decision and error text on malformed files. Its one change since then: a
-file that is not UTF-8 raises FileParseError naming the file and line instead
-of ``UnicodeDecodeError``, with the same text as ``uqregress.io``.
+decision and error text on malformed files. Its two changes since then: a
+file that is not UTF-8, and a file the ``csv`` module rejects (such as a
+field longer than ``csv.field_size_limit()``), raise FileParseError naming
+the file and line instead of ``UnicodeDecodeError`` or ``csv.Error``, with
+the same text as ``uqregress.io``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,11 @@ def _rows(path: Path) -> list[list[str]]:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise FileParseError(f"{path}:{line}: byte {exc.start} is not UTF-8 text") from exc
-    return list(csv.reader(StringIO(text, newline="")))
+    reader = csv.reader(StringIO(text, newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise FileParseError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 # --- dataset CSV ------------------------------------------------------------

@@ -648,3 +648,36 @@ class TestUnwritableInputs:
         assert run(command, *flags, "--out", tmp_path / "out.json") == 1
         _one_error_line(capsys, f"{bad}:2:", "UTF-8")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
+    @pytest.mark.parametrize("command, body", [
+        ("screen", b"id,y_true,y_pred,sigma\nr0,1,1,1\n" + b"r" * 200_000 + b",1,1,1\n"),
+        ("train", b"id,x0,y\nr0,1,2\n" + b"r" * 140_000 + b",1,2\n"),
+    ], ids=["screen", "train"])
+    def test_csv_field_over_the_size_limit(self, tmp_path, capsys, command, body):
+        # longer than csv.field_size_limit(), so the csv module rejects the line
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(body)
+        flags = {"screen": ["--pred", bad],
+                 "train": ["--method", "dropout", "--train", bad, *FAST_TRAIN]}[command]
+        assert run(command, *flags, "--out", tmp_path / "new" / "out.json") == 1
+        _one_error_line(capsys, f"{bad}:3: field larger than field limit (131072)")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
+    @pytest.mark.parametrize("command, flags, kept", [
+        # train.csv is written under o/d before the test set's size is refused
+        ("generate", ["--out", "o/d", "--n-test", 10**20], []),
+        ("generate", ["--out", "keep/o/d", "--n-test", 10**20], ["keep"]),
+        # the curve goes to c/d before the violin grid's allocation fails
+        ("evaluate", ["--out", "r/r.json", "--curve-out", "keep/c/d/curve.csv",
+                      "--violin-points", 10**18], ["keep"]),
+    ])
+    def test_failed_run_removes_the_directories_it_created(self, workspace, tmp_path, capsys,
+                                                           monkeypatch, command, flags, kept):
+        # directories that existed before the run stay, even when empty
+        monkeypatch.chdir(tmp_path)
+        for name in kept:
+            (tmp_path / name).mkdir()
+        pred = ["--pred", workspace["preds"]["ensemble"]] if command == "evaluate" else []
+        assert run(command, *pred, *flags) == 1
+        _one_error_line(capsys)
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == kept

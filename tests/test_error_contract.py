@@ -5,8 +5,8 @@ checkpoint, a ``--config`` file or a flag value. It drops or retypes a key
 (or a CSV column or cell), mutates a byte, or puts NaN, an overflowing
 integer or garbage text in a value. The command must then either exit 0 with
 a manifest beside every output, or exit 1 with exactly one
-``uqregress: error:`` line, no traceback, and no output or manifest left
-behind.
+``uqregress: error:`` line, no traceback, and no output, manifest or
+directory left behind.
 """
 
 import contextlib
@@ -94,10 +94,14 @@ def files_under(root: Path) -> set[str]:
     return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
 
 
-def check_contract(workdir: Path, argv: list[str]) -> int:
+def dirs_under(root: Path) -> set[str]:
+    return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_dir()}
+
+
+def check_contract(workdir: Path, argv: list[str], needle: str = "") -> int:
     """Run ``argv`` inside ``workdir``, check one of the two outcomes and
-    return the exit code."""
-    before = files_under(workdir)
+    return the exit code; a failure's error line must contain ``needle``."""
+    before, before_dirs = files_under(workdir), dirs_under(workdir)
     err = stdio.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)  # a corrupted config may name relative paths
@@ -115,7 +119,9 @@ def check_contract(workdir: Path, argv: list[str]) -> int:
     else:
         assert rc == 1
         assert len(lines) == 1 and lines[0].startswith("uqregress: error:"), lines
+        assert needle in lines[0], lines
         assert new == set(), new
+        assert dirs_under(workdir) == before_dirs
     return rc
 
 
@@ -193,3 +199,19 @@ ADVERSARIAL = ["adversarial", *PRED, "--fractions", "1"]
 ], ids=" ".join)
 def test_out_of_domain_int_flag(inputs, argv):
     assert check_contract(workdir_with(inputs), argv) == 1
+
+
+DEEP = b"[" * 200_000  # deeper than the JSON decoder can recurse
+HUGE_INT = b'{"seed": ' + b"7" * 5_000 + b"}"  # past int()'s 4,300-digit limit
+
+
+@pytest.mark.parametrize("body, needle", [(DEEP, "JSON nested too deeply"),
+                                          (HUGE_INT, "Exceeds the limit (4300 digits)")],
+                         ids=["deep", "huge_int"])
+@pytest.mark.parametrize("argv, name", [
+    (["screen", "--config", "config.json"], "config.json"),
+    (["predict", "--method", "dropout", "--model", "model.json", "--test", "test.csv",
+      "--out", "new/p.csv", "--samples", "3"], "model.json"),
+], ids=["config", "model"])
+def test_unreadable_json(inputs, argv, name, body, needle):
+    assert check_contract(workdir_with(inputs, **{name: body}), argv, f"{name}: {needle}") == 1

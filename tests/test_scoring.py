@@ -1,15 +1,19 @@
-"""Negatively oriented mean interval score: closed forms and propriety."""
+"""Negatively oriented mean interval score: closed forms, propriety, and
+bit-for-bit agreement with the two-hinge reference loop."""
 
 from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import interval_score_reference as ref
 from uqregress.core import RngSeed
 from uqregress.numerics import std_normal_quantile
 from uqregress.scoring import COVERAGE_GRID, interval_score
 
-from conftest import make_pset
+from conftest import gaussian_null, make_pset
 
 
 class TestIntervalScore:
@@ -86,3 +90,60 @@ class TestIntervalScore:
         ]
         best = candidates[int(np.argmin(means))]
         assert abs(best - 1.3) <= 0.1 + 1e-12
+
+
+HALF_WIDTH_Z = std_normal_quantile(1.0 - (1.0 - COVERAGE_GRID) / 2.0)
+MAX = np.finfo(np.float64).max
+# zeros of both signs, the smallest subnormal, the smallest normal, and values
+# near the top of the range whose differences overflow to inf
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, MAX, -MAX]
+VALUES = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_infinity=False))
+# 1e308 * z overflows the half-width itself, so inf - inf gives NaN scores
+SIGMAS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1.0, 1e154, 1e308, MAX]),
+                   st.floats(min_value=0.0, allow_infinity=False))
+FREE = st.tuples(VALUES, VALUES, SIGMAS)
+AT_TRUTH = st.builds(lambda mu, s: (mu, mu, s), VALUES, SIGMAS)
+# |y - mu| equal to one level's half-width exactly: mu is a zero, y is ±half
+ON_EDGE = st.builds(
+    lambda j, sign, mu, s: (sign * float(HALF_WIDTH_Z[j] * s), mu, s),
+    st.integers(0, COVERAGE_GRID.size - 1), st.sampled_from([1.0, -1.0]),
+    st.sampled_from([0.0, -0.0]), st.floats(min_value=0.0, max_value=1e300),
+)
+
+
+def bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def assert_same_as_reference(p):
+    got = interval_score(p)
+    want_mean, want_per_point = ref.interval_score(p)
+    np.testing.assert_array_equal(bits(got.per_point_scores), bits(want_per_point))
+    assert bits(got.mean_score) == bits(want_mean)
+
+
+class TestAgainstTwoHingeReference:
+    """One hinge on |y - mu| against the two one-sided hinges it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(FREE, AT_TRUTH, ON_EDGE), min_size=1, max_size=12))
+    def test_bit_identical_on_edge_inputs(self, points):
+        y, mu, sigma = zip(*points)
+        assert_same_as_reference(make_pset(y, mu, sigma))
+
+    def test_bit_identical_at_named_edges(self):
+        j = 40
+        half = HALF_WIDTH_Z[j] * 2.5
+        # y = mu at sigma = ±0; a miss at sigma = 0; |y - mu| = half on both sides;
+        # residuals that overflow to ±inf; an inf residual against an inf
+        # half-width (NaN); a finite one against it (inf); subnormals
+        y = [0.0, -0.0, 1.0, half, -half, MAX, -MAX, MAX, 1.0, 5e-324, -5e-324]
+        mu = [0.0, 0.0, 0.0, 0.0, -0.0, -MAX, MAX, -MAX, 0.0, 0.0, 5e-324]
+        sigma = [0.0, -0.0, 0.0, 2.5, 2.5, 1.0, 1.0, 1e308, 1e308, 5e-324, 0.0]
+        p = make_pset(y, mu, sigma)
+        assert_same_as_reference(p)
+        scores = interval_score(p).per_point_scores
+        assert np.isinf(scores[[5, 6, 8]]).all() and np.isnan(scores[7])
+
+    def test_bit_identical_on_a_gaussian_sample(self):
+        assert_same_as_reference(gaussian_null(100_000, seed=3, sigma_scale=0.7))

@@ -5,24 +5,19 @@ Each step gathers its batch by fancy indexing, builds the batch's id tuple,
 draws each hidden layer's dropout mask with its own counter call, replaces
 every weight and bias with a fresh array, and checks each layer for non-finite
 values on its own. The forward and backward passes are the ones that loop
-ran (bias gradients by ``mean``). ``train`` must give the same weights, the
-same loss history and the same errors, bit for bit.
+ran (bias gradients by ``mean``), and the evidential head's gradient is
+summed partial by partial before it is stacked. ``train`` must give the same
+weights, the same loss history and the same errors, bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from uqregress import evidential as ev
 from uqregress.core import LabeledDataset, counter_uniform
 from uqregress.errors import DivergenceError, NonFiniteLossError
-from uqregress.neural import (
-    _ACTIVATIONS,
-    _MASK_NS,
-    _SHUFFLE_NS,
-    MlpModel,
-    TrainConfig,
-    _per_sample_loss_and_draw,
-)
+from uqregress.neural import _ACTIVATIONS, _MASK_NS, _SHUFFLE_NS, MlpModel, TrainConfig
 
 
 def _masks(m: MlpModel, seed, step: int, n: int) -> list[np.ndarray]:
@@ -67,6 +62,21 @@ def _backward(m: MlpModel, layer_inputs, pre_acts, masks, d_raw: np.ndarray):
         grads_w[l] = layer_inputs[l].T @ delta / n
         grads_b[l] = delta.mean(axis=0)
     return list(zip(grads_w, grads_b))
+
+
+def _per_sample_loss_and_draw(m: MlpModel, raw: np.ndarray, y: np.ndarray, reg_weight: float):
+    if m.config.head == "plain":
+        resid = raw[:, 0] - y
+        return resid**2, (2.0 * resid)[:, None]
+    gamma, nu, alpha, beta = ev.head_transform(raw)
+    losses = ev.nll_array(gamma, nu, alpha, beta, y)
+    dg, dn, da, db = ev.nll_gradients(gamma, nu, alpha, beta, y)
+    if reg_weight != 0.0:
+        losses = losses + reg_weight * ev.regularizer_array(gamma, nu, alpha, y)
+        rg, rn, ra, rb = ev.regularizer_gradients(gamma, nu, alpha, y)
+        dg, dn, da, db = dg + reg_weight * rg, dn + reg_weight * rn, da + reg_weight * ra, db + reg_weight * rb
+    d_params = np.stack([dg, dn, da, db], axis=1)
+    return losses, d_params * ev.head_transform_derivatives(raw)
 
 
 def _loss_and_grads(m, X, y, ids, reg_weight, masks):
