@@ -51,6 +51,7 @@ _MODEL_TRAIN_NS = 32
 _RECAL_SPLIT_NS = 41
 
 METHODS = ("ensemble", "dropout", "evidential")
+_ERROR_CHARS = 1000  # error message characters printed; the flag or key a message names leads it
 
 
 def _list_flag(text: str, flag: str, parse, kind: str) -> list:
@@ -62,10 +63,10 @@ def _list_flag(text: str, flag: str, parse, kind: str) -> list:
 
 
 def _read_train_dataset(path):
-    f = io.read_dataset_csv(path)
-    if f.dataset is None:
+    data = io.read_dataset_csv(path).dataset
+    if data.n == 0:
         raise DomainError(f"{path} has no rows; cannot train")
-    return f.dataset
+    return data
 
 
 def cmd_generate(args, written: list[str]) -> None:
@@ -76,15 +77,9 @@ def cmd_generate(args, written: list[str]) -> None:
     for path, n, ns in ((train_path, args.n_train, _GEN_TRAIN_NS),
                         (test_path, args.n_test, _GEN_TEST_NS)):
         data = generate_synthetic(n, args.dim, base.derive(ns), n_groups=args.groups)
-        if data.dataset is None:
-            io.write_dataset_csv(path, args.dim, groups=() if args.groups else None,
-                                 true_sigma=np.empty(0))
-        else:
-            ds = data.dataset
-            io.write_dataset_csv(
-                path, args.dim, ids=ds.ids, features=ds.features, targets=ds.targets,
-                groups=ds.groups, true_sigma=data.true_sigma,
-            )
+        ds = data.dataset
+        io.write_dataset_csv(path, args.dim, ids=ds.ids, features=ds.features, targets=ds.targets,
+                             groups=ds.groups, true_sigma=data.true_sigma)
         written.append(str(path))
 
 
@@ -118,13 +113,8 @@ def cmd_train(args, written: list[str]) -> None:
 
 
 def cmd_predict(args, written: list[str]) -> None:
-    f = io.read_dataset_csv(args.test)
+    test = io.read_dataset_csv(args.test).dataset
     checkpoint = io.load_checkpoint(args.model)
-    if f.dataset is None:  # empty test set: header-only predictions, success
-        io.write_predictions_csv(args.out, None)
-        written.append(str(args.out))
-        return
-    test = f.dataset
     is_ensemble = isinstance(checkpoint, list)
     if is_ensemble != (args.method == "ensemble"):
         have, need = (("an ensemble", "a single model") if is_ensemble
@@ -146,7 +136,7 @@ def cmd_predict(args, written: list[str]) -> None:
 
 def _require_predictions(path):
     p = io.read_predictions_csv(path)
-    if p is None:
+    if p.n == 0:
         raise DomainError(f"{path} has no prediction rows")
     return p
 
@@ -492,7 +482,10 @@ def main(argv=None) -> int:
         # other exception is a missing check, and its traceback says where
         if not isinstance(exc, (UqError, OSError, MemoryError)):
             raise
-        print(f"uqregress: error: {exc}", file=sys.stderr)
+        message = str(exc)  # may echo a flag value or config entry of any size
+        if len(message) > _ERROR_CHARS:
+            message = message[:_ERROR_CHARS] + "…"
+        print(f"uqregress: error: {message}", file=sys.stderr)
         return 1
     return 0
 

@@ -173,9 +173,9 @@ class _Rows:
 class LabeledDataset(_Rows):
     """Feature matrix + scalar targets (+ optional categorical group tags).
 
-    Invariants are enforced at construction: N >= 1 rows, constant feature
-    dimension d >= 1, all values finite, ids unique. Targets are nominally in
-    eV; no unit arithmetic is performed anywhere.
+    Invariants are enforced at construction: any number of rows (zero rows
+    is a (0, d) table), constant feature dimension d >= 1, all values finite,
+    ids unique. Targets are nominally in eV; no unit arithmetic is performed.
     """
 
     ids: tuple[str, ...]
@@ -191,8 +191,6 @@ class LabeledDataset(_Rows):
         if self.groups is not None:
             object.__setattr__(self, "groups", tuple(map(str, self.groups)))
         n = len(self.ids)
-        if n < 1:
-            raise DomainError("LabeledDataset needs at least one row")
         if self.features.shape[0] != n or self.targets.shape[0] != n:
             raise LengthMismatchError(
                 f"ids({n}), features({self.features.shape[0]}), targets({self.targets.shape[0]}) disagree"
@@ -212,12 +210,11 @@ class LabeledDataset(_Rows):
 
 @dataclass(frozen=True)
 class DatasetFile:
-    """A dataset with its dimension and, where known, each row's true noise
-    std; ``dataset`` is None when there are no rows."""
+    """A dataset and, where known, each row's true noise std. A file with no
+    rows holds a zero-row dataset, whose (0, d) features keep its dimension."""
 
-    dataset: LabeledDataset | None
+    dataset: LabeledDataset
     true_sigma: np.ndarray | None
-    dim: int
 
 
 @dataclass(frozen=True)

@@ -46,9 +46,8 @@ def generate_synthetic(n: int, dim: int, seed: RngSeed, n_groups: int = 0) -> Da
     if n_groups < 0:
         raise DomainError(f"n_groups must be >= 0, got {n_groups}")
     check_size(n * dim, "n * dim")
+    check_size(dim, "dim")  # also sizes the (0, dim) features of an empty draw
     check_size(n_groups, "n_groups")  # group bins are compared as int64
-    if n == 0:
-        return DatasetFile(dataset=None, true_sigma=np.empty(0), dim=dim)
     rng = seed.generator()
     X = rng.uniform(-3.0, 3.0, size=(n, dim))
     sigma = noise_std(X)
@@ -63,13 +62,11 @@ def generate_synthetic(n: int, dim: int, seed: RngSeed, n_groups: int = 0) -> Da
         targets=y,
         groups=groups,
     )
-    return DatasetFile(dataset=ds, true_sigma=sigma, dim=dim)
+    return DatasetFile(dataset=ds, true_sigma=sigma)
 
 
 def calibrated_prediction_set(data: DatasetFile) -> PredictionSet:
     """The oracle PredictionSet: mu = true surface, sigma = true noise std."""
-    if data.dataset is None:
-        raise DomainError("cannot build predictions from an empty dataset")
     ds = data.dataset
     return PredictionSet(
         ids=ds.ids,

@@ -12,8 +12,9 @@ cells (ids, group tags) are quoted exactly as ``csv.writer`` quotes them. A
 file that is not plain (printable ASCII lines, no quotes, no blank lines), or
 that the column parse rejects in any chunk, is read again line by line with
 the ``csv`` module, and that scan alone decides what the file holds or which
-error it raises. Every file is written to a sibling temp file that then
-replaces the target, so a failed write leaves the target as it was.
+error it raises. A table without rows is a zero-row record, written and
+read back as its header alone. Every file is written to a sibling temp file
+that then replaces the target, so a failed write leaves the target as it was.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def write_columns_csv(path, header, columns) -> None:
     text. Rows are formatted ``CHUNK_ROWS`` at a time, and the bytes equal
     those ``csv.writer(f, lineterminator="\\n")`` writes for the same rows.
     """
-    n = len(columns[0]) if columns else 0
+    n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise LengthMismatchError(f"column lengths {[len(c) for c in columns]} differ")
     with _replacing(path) as f:
@@ -233,25 +234,16 @@ def _read_columns_csv(path, layout) -> tuple[list[str], list]:
 
 # --- dataset CSV ------------------------------------------------------------
 
-def write_dataset_csv(
-    path,
-    dim: int,
-    ids=(),
-    features=None,
-    targets=None,
-    groups=None,
-    true_sigma=None,
-) -> None:
-    """Write ``id,x0..x{d-1},y[,group][,true_sigma]`` rows."""
-    ids = tuple(ids)
+def write_dataset_csv(path, dim: int, ids, features, targets, groups=None, true_sigma=None) -> None:
+    """Write ``id,x0..x{d-1},y[,group][,true_sigma]`` rows; no rows writes the header only."""
     header = ["id"] + [f"x{j}" for j in range(dim)] + ["y"]
-    columns = [ids, *_floats(features).T, _floats(targets)] if ids else []
+    columns = [tuple(ids), *_floats(features).T, _floats(targets)]
     if groups is not None:
         header.append("group")
-        columns += [tuple(groups)] if ids else []
+        columns.append(tuple(groups))
     if true_sigma is not None:
         header.append("true_sigma")
-        columns += [_floats(true_sigma)] if ids else []
+        columns.append(_floats(true_sigma))
     write_columns_csv(path, header, columns)
 
 
@@ -282,24 +274,22 @@ def _dataset_text_cols(path: Path, header: list[str]) -> set[int]:
 def read_dataset_csv(path) -> DatasetFile:
     header, columns = _read_columns_csv(path, _dataset_text_cols)
     dim, has_group, has_sigma = _dataset_layout(path, header)
-    if not columns[0]:
-        return DatasetFile(dataset=None, true_sigma=None, dim=dim)
     ds = LabeledDataset(
         ids=tuple(columns[0]),
         features=np.column_stack(columns[1:dim + 1]),
         targets=columns[dim + 1],
         groups=tuple(columns[dim + 2]) if has_group else None,
     )
-    return DatasetFile(dataset=ds, true_sigma=columns[-1] if has_sigma else None, dim=dim)
+    return DatasetFile(dataset=ds, true_sigma=columns[-1] if has_sigma else None)
 
 
 # --- prediction CSV ---------------------------------------------------------
 
-def write_predictions_csv(path, p: PredictionSet | None) -> None:
-    """Write ``id,y_true,y_pred,sigma[,group]``; None writes a header only."""
+def write_predictions_csv(path, p: PredictionSet) -> None:
+    """Write ``id,y_true,y_pred,sigma[,group]``; no rows writes the header only."""
     header = ["id", "y_true", "y_pred", "sigma"]
-    columns = [] if p is None else [p.ids, p.y_true, p.mu, p.sigma]
-    if p is not None and p.groups is not None:
+    columns = [p.ids, p.y_true, p.mu, p.sigma]
+    if p.groups is not None:
         header.append("group")
         columns.append(p.groups)
     write_columns_csv(path, header, columns)
@@ -314,10 +304,8 @@ def _prediction_text_cols(path: Path, header: list[str]) -> set[int]:
     return {0, 4} if has_group else {0}
 
 
-def read_predictions_csv(path) -> PredictionSet | None:
+def read_predictions_csv(path) -> PredictionSet:
     header, columns = _read_columns_csv(path, _prediction_text_cols)
-    if not columns[0]:
-        return None
     return PredictionSet(
         ids=tuple(columns[0]), y_true=columns[1], mu=columns[2], sigma=columns[3],
         groups=tuple(columns[4]) if len(header) == 5 else None,

@@ -251,6 +251,8 @@ def loss_and_gradient(
     are fixed by ``dropout_seed`` (sample 0, one point per batch row) so the
     loss stays deterministic.
     """
+    if batch.n == 0:
+        raise DomainError("the loss is a mean over the batch, which has no rows")
     masks = None
     rate = m.config.dropout_rate
     if dropout_seed is not None and rate > 0.0:
@@ -271,6 +273,8 @@ def train(m: MlpModel, data: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel
     """
     if data.features.shape[1] != m.input_dim:
         raise ShapeMismatchError(f"data dim {data.features.shape[1]}, model expects {m.input_dim}")
+    if data.n == 0:
+        raise DomainError("training needs at least one row")
     history: list[float] = []
     rate = m.config.dropout_rate
 

@@ -86,28 +86,49 @@ class TestPredict:
         sigma = np.array([float(r[3]) for r in rows[1:]])
         assert np.all(sigma >= 0.0)
 
-    def test_empty_test_file_succeeds(self, workspace, tmp_path):
-        empty = tmp_path / "empty.csv"
-        empty.write_text("id,x0,x1,y\n")
+    @pytest.mark.parametrize("groups, header", [
+        (0, "id,y_true,y_pred,sigma\n"),
+        (3, "id,y_true,y_pred,sigma,group\n"),
+    ], ids=["no_groups", "groups"])
+    @pytest.mark.parametrize("method", ["ensemble", "dropout", "evidential"])
+    def test_empty_test_file_writes_a_header_only_prediction_csv(self, workspace, tmp_path,
+                                                                method, groups, header):
+        assert run("generate", "--out", tmp_path / "data", "--n-train", 0, "--n-test", 0,
+                   "--dim", 2, "--groups", groups) == 0
         out = tmp_path / "pred.csv"
-        assert run("predict", "--method", "evidential",
-                   "--model", workspace["models"]["evidential"],
-                   "--test", empty, "--out", out) == 0
-        assert out.read_text() == "id,y_true,y_pred,sigma\n"
+        assert run("predict", "--method", method, "--model", workspace["models"][method],
+                   "--test", tmp_path / "data/test.csv", "--out", out, "--samples", 5) == 0
+        assert out.read_text() == header
+        assert io.read_manifest(io.manifest_path(out))["command"] == "predict"
 
-    @pytest.mark.parametrize("method, trained, message", [
-        ("ensemble", "dropout", "is a single model; ensemble prediction needs an ensemble checkpoint"),
-        ("dropout", "ensemble", "is an ensemble; dropout prediction needs a single model"),
-        ("evidential", "ensemble", "is an ensemble; evidential prediction needs a single model"),
-    ], ids=("ensemble", "dropout", "evidential"))
+    def test_empty_test_file_of_another_width_fails(self, workspace, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("id,x0,y\n")  # the model takes two features
+        assert run("predict", "--method", "evidential", "--model", workspace["models"]["evidential"],
+                   "--test", empty, "--out", tmp_path / "pred.csv") == 1
+        _one_error_line(capsys, "features shape (0, 1), expected (n, 2)")
+        assert list(tmp_path.iterdir()) == [empty]
+
+    @pytest.mark.parametrize("method, trained, message, header_only", [
+        ("ensemble", "dropout", "is a single model; ensemble prediction needs an ensemble checkpoint",
+         False),
+        ("dropout", "ensemble", "is an ensemble; dropout prediction needs a single model", False),
+        ("evidential", "ensemble", "is an ensemble; evidential prediction needs a single model", False),
+        ("ensemble", "dropout", "is a single model; ensemble prediction needs an ensemble checkpoint",
+         True),  # a test file without rows is checked against the checkpoint too
+    ], ids=("ensemble", "dropout", "evidential", "ensemble-header-only"))
     def test_method_checkpoint_mismatch_fails(self, workspace, tmp_path, capsys,
-                                              method, trained, message):
+                                              method, trained, message, header_only):
         model = workspace["models"][trained]
+        test = workspace["data"] / "test.csv"
+        if header_only:
+            test = tmp_path / "empty.csv"
+            test.write_text("id,x0,x1,y\n")
         code = run("predict", "--method", method, "--model", model,
-                   "--test", workspace["data"] / "test.csv", "--out", tmp_path / "x.csv")
+                   "--test", test, "--out", tmp_path / "x.csv")
         assert code == 1
         assert capsys.readouterr().err == f"uqregress: error: {model} {message}\n"
-        assert list(tmp_path.iterdir()) == []
+        assert not (tmp_path / "x.csv").exists() and len(list(tmp_path.iterdir())) == header_only
 
 
 class TestEvaluate:
@@ -505,6 +526,32 @@ class TestIllTypedConfig:
         assert run("screen", "--config", cfg) == 0
         assert io.read_manifest(io.manifest_path(out))["config"]["sigma_max"] == 1.0
         assert json.loads(out.read_text())["criteria"]["sigma_max"] == 1.0
+
+
+def _nested(depth):
+    return json.loads("[" * depth + "]" * depth)
+
+
+class TestOversizedInput:
+    @pytest.mark.parametrize("config, argv, head", [
+        ({"lo": _nested(900)}, ["screen"], "{cfg}: config key 'lo': --lo cannot take the value [[[["),
+        ({"k" * 5000: 1}, ["screen"], "{cfg}: unknown config key 'kkkk"),
+        (None, ["train", "--hidden", "x" * 3000], "--hidden must be comma-separated integers, got 'xxxx"),
+        (None, ["screen", "--lo", "x" * 3000], "argument --lo: invalid float value: 'xxxx"),
+    ], ids=["deep-config-value", "long-config-key", "long-hidden", "argparse-value"])
+    def test_error_line_is_capped(self, workspace, tmp_path, capsys, config, argv, head):
+        cfg = tmp_path / "cfg.json"
+        if config is not None:
+            cfg.write_text(json.dumps(config))
+            argv = [*argv, "--config", cfg]
+        inputs = {"screen": ["--pred", workspace["preds"]["ensemble"]],
+                  "train": ["--method", "dropout", "--train", workspace["data"] / "train.csv"]}
+        assert run(*argv, *inputs[argv[0]], "--out", tmp_path / "out.json") == 1
+        err = capsys.readouterr().err.splitlines()
+        # the message's first 1,000 characters, then an ellipsis
+        assert len(err) == 1 and err[0].startswith(f"uqregress: error: {head.format(cfg=cfg)}")
+        assert len(err[0]) == len("uqregress: error: ") + 1001 and err[0].endswith("…")
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestUnwritableInputs:

@@ -1,6 +1,7 @@
 """Data model invariants, validation errors, fold splitting, RNG contract."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from uqregress.errors import (
     NegativeSigmaError,
     NonFiniteValueError,
 )
+from uqregress.neural import MlpConfig, MlpModel, TrainConfig, loss_and_gradient, train
 
 from conftest import make_pset
 
@@ -123,9 +125,21 @@ class TestLabeledDataset:
         with pytest.raises(DuplicateIdError):
             LabeledDataset(ids=("a", "a"), features=[[1.0], [2.0]], targets=[0.0, 1.0])
 
-    def test_rejects_empty(self):
-        with pytest.raises(DomainError):
-            LabeledDataset(ids=(), features=np.empty((0, 1)), targets=[])
+    def test_zero_rows_keep_their_dim(self):
+        ds = LabeledDataset(ids=(), features=np.empty((0, 3)), targets=[], groups=())
+        assert (ds.n, ds.dim, ds.features.shape, ds.groups) == (0, 3, (0, 3), ())
+
+    @pytest.mark.parametrize("step", [
+        lambda m, ds: train(m, ds, TrainConfig(epochs=1, batch_size=4, learning_rate=0.1)),
+        lambda m, ds: loss_and_gradient(m, ds),
+    ], ids=["train", "loss_and_gradient"])
+    def test_training_refuses_zero_rows(self, step):
+        ds = LabeledDataset(ids=(), features=np.empty((0, 2)), targets=[])
+        m = MlpModel.initialize(MlpConfig((2, 4, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # not numpy's "Mean of empty slice"
+            with pytest.raises(DomainError, match="row"):
+                step(m, ds)
 
     def test_one_dimensional_features_are_one_row(self):
         ds = LabeledDataset(ids=("a",), features=[1.0, 2.0, 3.0], targets=[0.0])

@@ -5,6 +5,7 @@ bit-identical to the reference reader's, and malformed files must get the
 same accept/reject decision and the same error text.
 """
 
+import csv
 import json
 import re
 import tempfile
@@ -38,21 +39,30 @@ SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[Heal
 
 
 def _outcome(fn, path):
-    """A comparable summary of reading ``path``: its values or its error."""
+    """A comparable summary of reading ``path``: its values or its error.
+
+    A file without rows is ("no rows", header width), whether the reader
+    returns a zero-row record, whose columns give the width, or the
+    reference's None, which leaves the width to the file's header.
+    """
     try:
         got = fn(path)
     except Exception as exc:  # the reference may raise csv errors too
         return ("error", type(exc).__name__, str(exc))
-    if got is None:
-        return ("none",)
+    if got is None or getattr(got, "dataset", got) is None:
+        with open(path, newline="", encoding="utf-8") as f:
+            return ("no rows", len(next(csv.reader(f))))
     if isinstance(got, PredictionSet):
+        if got.n == 0:
+            return ("no rows", 4 + (got.groups is not None))
         return ("pset", got.ids, got.groups,
                 got.y_true.tobytes(), got.mu.tobytes(), got.sigma.tobytes())
     ds = got.dataset
-    body = None if ds is None else (ds.ids, ds.groups, ds.features.tobytes(),
-                                    ds.features.shape, ds.targets.tobytes())
+    if ds.n == 0:
+        return ("no rows", 2 + ds.dim + (ds.groups is not None) + (got.true_sigma is not None))
+    body = (ds.ids, ds.groups, ds.features.tobytes(), ds.features.shape, ds.targets.tobytes())
     sigma = None if got.true_sigma is None else got.true_sigma.tobytes()
-    return ("dataset", got.dim, body, sigma)
+    return ("dataset", ds.dim, body, sigma)
 
 
 def _same_read(path: Path) -> None:
@@ -68,7 +78,7 @@ def prediction_sets(draw):
     cols = [np.array(draw(st.lists(floats, min_size=n, max_size=n))) for _ in range(3)]
     ids = tuple(draw(st.lists(texts, min_size=n, max_size=n)))
     groups = tuple(draw(st.lists(texts, min_size=n, max_size=n))) if draw(st.booleans()) else None
-    return None if n == 0 else PredictionSet(ids, *cols, groups=groups)
+    return PredictionSet(ids, *cols, groups=groups)
 
 
 @SETTINGS

@@ -22,19 +22,20 @@ class TestGenerator:
         np.testing.assert_array_equal(a.dataset.targets, b.dataset.targets)
 
     def test_empty(self):
-        d = generate_synthetic(0, 4, RngSeed(1))
-        assert type(d) is DatasetFile and d.dim == 4
-        assert d.dataset is None
+        d = generate_synthetic(0, 4, RngSeed(1), n_groups=3)
+        assert type(d) is DatasetFile and d.dataset.dim == 4
+        assert d.dataset.n == 0 and d.dataset.features.shape == (0, 4) and d.dataset.groups == ()
         assert d.true_sigma.size == 0
+        assert calibrated_prediction_set(d).n == 0
 
     def test_record_is_the_one_the_dataset_csv_reads_back(self, tmp_path):
         d = generate_synthetic(6, 2, RngSeed(4), n_groups=2)
         ds = d.dataset
-        assert type(d) is DatasetFile and d.dim == 2 and d.true_sigma.shape == (6,)
-        io.write_dataset_csv(tmp_path / "d.csv", d.dim, ds.ids, ds.features, ds.targets,
+        assert type(d) is DatasetFile and ds.dim == 2 and d.true_sigma.shape == (6,)
+        io.write_dataset_csv(tmp_path / "d.csv", ds.dim, ds.ids, ds.features, ds.targets,
                              ds.groups, d.true_sigma)
         back = io.read_dataset_csv(tmp_path / "d.csv")
-        assert type(back) is DatasetFile and back.dim == d.dim
+        assert type(back) is DatasetFile and back.dataset.dim == ds.dim
         assert (back.dataset.ids, back.dataset.groups) == (ds.ids, ds.groups)
         np.testing.assert_array_equal(back.dataset.features, ds.features)
         np.testing.assert_array_equal(back.true_sigma, d.true_sigma)
@@ -67,6 +68,10 @@ class TestGenerator:
             generate_synthetic(-1, 2, RngSeed(0))
         with pytest.raises(DomainError):
             generate_synthetic(10, 0, RngSeed(0))
+
+    def test_empty_draw_of_a_dim_no_array_can_hold(self):
+        with pytest.raises(DomainError, match=f"^dim is {10**20}, more than"):
+            generate_synthetic(0, 10**20, RngSeed(0))
 
     def test_oracle_prediction_set_is_calibrated(self):
         from uqregress.calibration import calibration_curve

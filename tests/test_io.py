@@ -28,12 +28,21 @@ class TestDatasetCsv:
         assert back.dataset.ids == ds.ids
         assert back.dataset.groups == ds.groups
 
-    def test_header_only_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("groups, true_sigma, header", [
+        (None, None, "id,x0,x1,y\n"),
+        ((), np.empty(0), "id,x0,x1,y,group,true_sigma\n"),
+    ], ids=["bare", "group_and_sigma"])
+    def test_header_only_round_trip(self, tmp_path, groups, true_sigma, header):
         path = tmp_path / "empty.csv"
-        io.write_dataset_csv(path, 2)
+        io.write_dataset_csv(path, 2, (), np.empty((0, 2)), np.empty(0), groups, true_sigma)
+        assert path.read_text() == header
         back = io.read_dataset_csv(path)
-        assert back.dataset is None
-        assert back.dim == 2
+        assert (back.dataset.n, back.dataset.dim, back.dataset.features.shape) == (0, 2, (0, 2))
+        assert back.dataset.groups == groups
+        if true_sigma is None:
+            assert back.true_sigma is None
+        else:
+            assert back.true_sigma.shape == (0,)
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -65,11 +74,16 @@ class TestPredictionsCsv:
         io.write_predictions_csv(path, p)
         assert io.read_predictions_csv(path).groups == ("a", "b")
 
-    def test_none_writes_header_only(self, tmp_path):
+    @pytest.mark.parametrize("groups, header", [
+        (None, "id,y_true,y_pred,sigma\n"),
+        ((), "id,y_true,y_pred,sigma,group\n"),
+    ], ids=["bare", "group"])
+    def test_zero_rows_write_header_only(self, tmp_path, groups, header):
         path = tmp_path / "pred.csv"
-        io.write_predictions_csv(path, None)
-        assert path.read_text() == "id,y_true,y_pred,sigma\n"
-        assert io.read_predictions_csv(path) is None
+        io.write_predictions_csv(path, make_pset([], [], [], groups=groups, ids=()))
+        assert path.read_text() == header
+        back = io.read_predictions_csv(path)
+        assert (back.n, back.groups, back.sigma.shape) == (0, groups, (0,))
 
     def test_field_count_mismatch_names_line(self, tmp_path):
         path = tmp_path / "pred.csv"
