@@ -78,7 +78,7 @@ def cmd_generate(args, written: list[str]) -> None:
                         (test_path, args.n_test, _GEN_TEST_NS)):
         data = generate_synthetic(n, args.dim, base.derive(ns), n_groups=args.groups)
         ds = data.dataset
-        io.write_dataset_csv(path, args.dim, ids=ds.ids, features=ds.features, targets=ds.targets,
+        io.write_dataset_csv(path, ids=ds.ids, features=ds.features, targets=ds.targets,
                              groups=ds.groups, true_sigma=data.true_sigma)
         written.append(str(path))
 
@@ -187,7 +187,8 @@ def cmd_recalibrate(args, written: list[str]) -> None:
             raise DomainError(f"fit fraction {args.fit_fraction} leaves {n_fit} fit rows")
         fit_set = p.subset(np.sort(perm[:n_fit]))
         holdout_idx = np.sort(perm[n_fit:])
-        holdout = p.subset(holdout_idx) if holdout_idx.size >= 2 else None
+        if np.count_nonzero(p.sigma[holdout_idx] > 0.0) >= 2:  # else it has no curve
+            holdout = p.subset(holdout_idx)
     else:
         fit_set = p
     result = fit_scalar(fit_set, bracket_lo=args.bracket_lo, bracket_hi=args.bracket_hi,

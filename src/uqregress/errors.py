@@ -39,7 +39,7 @@ class DomainError(UqError):
 
 
 class DegenerateSampleError(UqError):
-    """Sample has no spread (or too few points) for density estimation."""
+    """Sample has too few points, or no finite nonzero spread, for density estimation."""
 
 
 # --- metrics / calibration --------------------------------------------------

@@ -127,6 +127,8 @@ def write_columns_csv(path, header, columns) -> None:
     text. Rows are formatted ``CHUNK_ROWS`` at a time, and the bytes equal
     those ``csv.writer(f, lineterminator="\\n")`` writes for the same rows.
     """
+    if len(header) != len(columns):
+        raise LengthMismatchError(f"{len(header)} header names for {len(columns)} columns")
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise LengthMismatchError(f"column lengths {[len(c) for c in columns]} differ")
@@ -234,10 +236,14 @@ def _read_columns_csv(path, layout) -> tuple[list[str], list]:
 
 # --- dataset CSV ------------------------------------------------------------
 
-def write_dataset_csv(path, dim: int, ids, features, targets, groups=None, true_sigma=None) -> None:
-    """Write ``id,x0..x{d-1},y[,group][,true_sigma]`` rows; no rows writes the header only."""
-    header = ["id"] + [f"x{j}" for j in range(dim)] + ["y"]
-    columns = [tuple(ids), *_floats(features).T, _floats(targets)]
+def write_dataset_csv(path, ids, features, targets, groups=None, true_sigma=None) -> None:
+    """Write ``id,x0..x{d-1},y[,group][,true_sigma]``; no rows writes the header only.
+
+    d is the width of the 2-D ``features``, so a (0, d) table keeps its d columns.
+    """
+    features = _floats(features)
+    header = ["id"] + [f"x{j}" for j in range(features.shape[1])] + ["y"]
+    columns = [tuple(ids), *features.T, _floats(targets)]
     if groups is not None:
         header.append("group")
         columns.append(tuple(groups))

@@ -294,9 +294,12 @@ def scott_bandwidth(samples: np.ndarray) -> float:
     n = samples.size
     if n < 2:
         raise DegenerateSampleError(f"need at least 2 samples, got {n}")
-    sd = float(np.std(samples, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(np.std(samples, ddof=1))
     if sd == 0.0:
         raise DegenerateSampleError("all samples are equal; bandwidth would be zero")
+    if not np.isfinite(sd):
+        raise DegenerateSampleError(f"sample std is {sd}; bandwidth would not be finite")
     return sd * n ** (-0.2)
 
 

@@ -179,10 +179,14 @@ class TestEvaluate:
         assert report["calibration_n_used"] == 4
         assert report["calibration_n_excluded_zero_sigma"] == 0
 
-    def test_equal_sigmas_report_a_degenerate_sample(self, tmp_path):
-        # the KDE has no bandwidth: evaluate reports it and writes no violin table
+    @pytest.mark.parametrize("sigmas", [("0.5", "0.5", "0.5"), ("1e308", "1.7e308", "1.5e308")],
+                             ids=["equal", "overflowing_spread"])
+    def test_sigmas_without_a_bandwidth_report_a_degenerate_sample(self, tmp_path, sigmas):
+        # a std of zero, or one that overflows although each sigma is finite, leaves
+        # the KDE no bandwidth: evaluate reports it and writes no violin table
         pred = tmp_path / "p.csv"
-        pred.write_text("id,y_true,y_pred,sigma\na,1,0,0.5\nb,0.5,0.1,0.5\nc,-0.3,0.2,0.5\n")
+        pred.write_text("id,y_true,y_pred,sigma\na,1,0,{}\nb,0.5,0.1,{}\nc,-0.3,0.2,{}\n"
+                        .format(*sigmas))
         out = tmp_path / "report.json"
         assert run("evaluate", "--pred", pred, "--out", out) == 0
         assert "DegenerateSample" in json.loads(out.read_text())["errors"]
@@ -287,6 +291,34 @@ class TestRecalibrate:
                    "--fit-fraction", 1.0) == 0
         result = json.loads(out.read_text())
         assert result["n_fit"] == result["n_total"] == 120 and result["holdout"] is None
+
+    @staticmethod
+    def _three_usable_rows(tmp_path):
+        """20 rows; only r0-r2 have sigma > 0."""
+        pred = tmp_path / "pred.csv"
+        rows = [f"r{i},{i % 3},0.5,{(0.5, 0.6, 0.7)[i] if i < 3 else 0}" for i in range(20)]
+        pred.write_text("id,y_true,y_pred,sigma\n" + "\n".join(rows) + "\n")
+        return pred
+
+    @pytest.mark.parametrize("seed", [2, 3, 5, 7, 9, 11])
+    def test_holdout_without_two_usable_rows_is_null(self, tmp_path, seed):
+        out = tmp_path / "recal.json"
+        assert run("recalibrate", "--pred", self._three_usable_rows(tmp_path), "--out", out,
+                   "--seed", seed) == 0
+        result = json.loads(out.read_text())
+        assert result["n_fit"] == 10 and result["holdout"] is None
+
+    @pytest.mark.parametrize("seed, message", [
+        (1, "need >= 2 points with sigma > 0, got 1"),
+        (14, "every sigma is zero; nothing to recalibrate"),
+    ])
+    def test_fit_half_without_two_usable_rows_fails_with_the_fit_message(
+            self, tmp_path, capsys, seed, message):
+        pred = self._three_usable_rows(tmp_path)
+        assert run("recalibrate", "--pred", pred, "--out", tmp_path / "r.json",
+                   "--seed", seed) == 1
+        _one_error_line(capsys, message)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pred.csv"]
 
     @pytest.mark.parametrize("fraction", [1.5, -0.5, 0.0])
     def test_fit_fraction_outside_unit_interval_fails_before_the_csv_is_read(

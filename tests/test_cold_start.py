@@ -1,4 +1,5 @@
-"""Cold start: no command and no library function loads scipy.
+"""Cold start: no command and no library function loads scipy, and
+``import uqregress`` loads none of its modules until a name is used.
 
 Φ, Φ⁻¹, Brent, ln Γ, ψ and the evidential head's logistic are numpy and
 stdlib code. Each check runs in a fresh interpreter, because the test
@@ -34,6 +35,47 @@ def run_fresh(code: str):
 
 def test_importing_the_cli_loads_no_scipy():
     assert run_fresh(f"import json, sys\nimport uqregress.cli\nprint(json.dumps({SCIPY_KEYS}))") == []
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    # dir() lists the exports before any of them is loaded
+    code = (
+        "import json, sys, uqregress\n"
+        "ours = sorted(k for k in sys.modules if k.startswith(('uqregress.', 'numpy')))\n"
+        "print(json.dumps([ours, sorted(set(uqregress.__all__) - set(dir(uqregress)))]))"
+    )
+    assert run_fresh(code) == [[], []]
+
+
+def test_each_export_is_the_object_its_module_defines():
+    code = (
+        "import importlib, json, uqregress\n"
+        "print(json.dumps([n for m, names in uqregress._EXPORTS.items() for n in names if\n"
+        "    getattr(uqregress, n) is not getattr(importlib.import_module('uqregress.' + m), n)]))"
+    )
+    assert run_fresh(code) == []
+    names = [n for names in uqregress._EXPORTS.values() for n in names]  # each listed once
+    assert sorted(names) == uqregress.__all__ and len(set(names)) == len(names)
+
+
+def test_star_import_binds_every_export():
+    code = (
+        "import json, uqregress\nfrom uqregress import *\n"
+        "print(json.dumps([n for n in uqregress.__all__ if globals().get(n) is not\n"
+        "    getattr(uqregress, n)]))"
+    )
+    assert run_fresh(code) == []
+
+
+def test_unknown_name_raises_attribute_error_and_submodules_still_import():
+    code = (
+        "import json, sys, uqregress\n"
+        "try:\n    uqregress.no_such_name\n    raised = False\n"
+        "except AttributeError:\n    raised = True\n"
+        "from uqregress import cli\n"
+        "print(json.dumps([raised, cli.__name__, 'uqregress.cli' in sys.modules]))"
+    )
+    assert run_fresh(code) == [True, "uqregress.cli", True]
 
 
 # every module `import uqregress.cli` may add to those numpy loads; `statistics`

@@ -103,7 +103,7 @@ def test_dataset_csv_matches_reference(n, dim, with_groups, with_sigma, data):
     with tempfile.TemporaryDirectory() as tmp:
         new, old = Path(tmp, "new.csv"), Path(tmp, "old.csv")
         kwargs = dict(ids=ids, features=feats, targets=targets, groups=groups, true_sigma=sigma)
-        io.write_dataset_csv(new, dim, **kwargs)
+        io.write_dataset_csv(new, **kwargs)
         ref.write_dataset_csv(old, dim, **kwargs)
         assert new.read_bytes() == old.read_bytes()
         _same_read(new)

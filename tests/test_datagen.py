@@ -32,7 +32,7 @@ class TestGenerator:
         d = generate_synthetic(6, 2, RngSeed(4), n_groups=2)
         ds = d.dataset
         assert type(d) is DatasetFile and ds.dim == 2 and d.true_sigma.shape == (6,)
-        io.write_dataset_csv(tmp_path / "d.csv", ds.dim, ds.ids, ds.features, ds.targets,
+        io.write_dataset_csv(tmp_path / "d.csv", ds.ids, ds.features, ds.targets,
                              ds.groups, d.true_sigma)
         back = io.read_dataset_csv(tmp_path / "d.csv")
         assert type(back) is DatasetFile and back.dataset.dim == ds.dim

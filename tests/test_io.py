@@ -8,7 +8,7 @@ import pytest
 from uqregress import io
 from uqregress.core import PredictionSet, RngSeed
 from uqregress.datagen import generate_synthetic
-from uqregress.errors import FileParseError, ReportSchemaError
+from uqregress.errors import FileParseError, LengthMismatchError, ReportSchemaError
 from uqregress.neural import MlpConfig, MlpModel
 
 from conftest import gaussian_null, make_pset
@@ -19,7 +19,7 @@ class TestDatasetCsv:
         d = generate_synthetic(50, 3, RngSeed(1), n_groups=2)
         path = tmp_path / "data.csv"
         ds = d.dataset
-        io.write_dataset_csv(path, 3, ids=ds.ids, features=ds.features,
+        io.write_dataset_csv(path, ids=ds.ids, features=ds.features,
                              targets=ds.targets, groups=ds.groups, true_sigma=d.true_sigma)
         back = io.read_dataset_csv(path)
         np.testing.assert_array_equal(back.dataset.features, ds.features)
@@ -34,7 +34,7 @@ class TestDatasetCsv:
     ], ids=["bare", "group_and_sigma"])
     def test_header_only_round_trip(self, tmp_path, groups, true_sigma, header):
         path = tmp_path / "empty.csv"
-        io.write_dataset_csv(path, 2, (), np.empty((0, 2)), np.empty(0), groups, true_sigma)
+        io.write_dataset_csv(path, (), np.empty((0, 2)), np.empty(0), groups, true_sigma)
         assert path.read_text() == header
         back = io.read_dataset_csv(path)
         assert (back.dataset.n, back.dataset.dim, back.dataset.features.shape) == (0, 2, (0, 2))
@@ -43,6 +43,18 @@ class TestDatasetCsv:
             assert back.true_sigma is None
         else:
             assert back.true_sigma.shape == (0,)
+
+    def test_header_width_is_the_feature_width(self, tmp_path):
+        path = tmp_path / "d.csv"
+        io.write_dataset_csv(path, ("a", "b"), np.ones((2, 3)), np.zeros(2))
+        assert path.read_text() == "id,x0,x1,x2,y\na,1.0,1.0,1.0,0.0\nb,1.0,1.0,1.0,0.0\n"
+
+    def test_header_narrower_or_wider_than_the_columns_is_refused(self, tmp_path):
+        path = tmp_path / "t.csv"
+        for header in (["a", "b", "c"], ["a"]):
+            with pytest.raises(LengthMismatchError, match=f"{len(header)} header names for 2 col"):
+                io.write_columns_csv(path, header, [np.ones(2), np.ones(2)])
+        assert not path.exists()
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -230,6 +230,13 @@ class TestKdeScott:
         with pytest.raises(DegenerateSampleError):
             kde_scott([1.0], [0.0])
 
+    def test_overflowing_spread_is_degenerate(self):
+        # each sample is finite, but their sum and so the std overflow
+        samples = [1e308, 1.7e308, 1.5e308]
+        for call in (lambda: scott_bandwidth(samples), lambda: kde_scott(samples, [0.0])):
+            with pytest.raises(DegenerateSampleError, match="std is inf"):
+                call()
+
     def test_standard_normal_density_at_zero(self):
         rng = np.random.default_rng(7)
         samples = rng.standard_normal(10_000)
