@@ -155,7 +155,7 @@ def adversarial_group_calibration(
     fracs = np.asarray(fractions, dtype=np.float64).ravel()
     if fracs.size == 0:
         raise DomainError("need at least one fraction")
-    if np.any(fracs <= 0.0) or np.any(fracs > 1.0):
+    if not np.all((fracs > 0.0) & (fracs <= 1.0)):  # NaN fails too
         raise DomainError("fractions must lie in (0, 1]")
     if trials < 1 or subgroups < 1:
         raise DomainError("trials and subgroups must be >= 1")

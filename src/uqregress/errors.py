@@ -90,3 +90,14 @@ class FileParseError(UqError):
 
 class ReportSchemaError(UqError):
     """A JSON report contains unknown fields or a wrong version tag."""
+
+
+def _check_keys(d: dict, allowed: tuple[str, ...], where: str) -> None:
+    """``d`` must hold exactly the keys ``allowed``: the closed JSON schemas of
+    reports and checkpoints."""
+    unknown = set(d) - set(allowed)
+    if unknown:
+        raise ReportSchemaError(f"unknown field(s) {sorted(unknown)} in {where}")
+    missing = set(allowed) - set(d)
+    if missing:
+        raise ReportSchemaError(f"missing field(s) {sorted(missing)} in {where}")

@@ -27,15 +27,17 @@ import time
 from contextlib import contextmanager
 from io import BytesIO, StringIO, TextIOWrapper
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from .core import DatasetFile, LabeledDataset, PredictionSet, RngSeed
 from .errors import (FileParseError, LengthMismatchError, NonFiniteValueError, ReportSchemaError,
-                     UqError)
-from .neural import MlpConfig, MlpModel
-from .report import _check_keys
+                     UqError, _check_keys)
+
+if TYPE_CHECKING:
+    from .neural import MlpModel
 
 MODEL_FORMAT = "uqregress-model-v1"
 ENSEMBLE_FORMAT = "uqregress-ensemble-v1"
@@ -47,6 +49,8 @@ _SCAN_BYTES = 1 << 20  # bytes checked at a time for a newline or a byte a plain
 _QUOTE_TRIGGER = re.compile('[,"\r\n\x00]')
 # the bytes a plain CSV file may hold: printable ASCII except '"', and '\n'
 _PLAIN_BYTES = bytes(c for c in range(0x20, 0x7F) if c != 0x22) + b"\n"
+TEXT_COLUMNS = frozenset({"id", "group"})  # read as str; every other column is float64
+PREDICTION_HEADER = ("id", "y_true", "y_pred", "sigma")  # then an optional "group"
 
 
 def _parse_float(token: str, path: Path, line: int, col: str) -> float:
@@ -143,7 +147,7 @@ def write_columns_csv(path, header, columns) -> None:
             f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _scan_rows(path: Path, data: bytes, layout) -> tuple[list[str], list]:
+def _scan_rows(path: Path, data: bytes, check) -> dict:
     """The line-by-line read: ``csv.reader`` rows and one ``float()`` per cell."""
     try:
         text = data.decode("utf-8")
@@ -158,16 +162,16 @@ def _scan_rows(path: Path, data: bytes, layout) -> tuple[list[str], list]:
     if not rows:
         raise FileParseError(f"{path}:1: empty file (expected a header row)")
     header = rows[0]
-    text_cols = layout(path, header)
+    check(path, header)
     columns = [[] for _ in header]
     for ln, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != len(header):
             raise FileParseError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
-        for j, cell in enumerate(row):
-            columns[j].append(cell if j in text_cols else _parse_float(cell, path, ln, header[j]))
-    return header, [c if j in text_cols else _floats(c) for j, c in enumerate(columns)]
+        for name, cell, column in zip(header, row, columns):
+            column.append(cell if name in TEXT_COLUMNS else _parse_float(cell, path, ln, name))
+    return {name: tuple(c) if name in TEXT_COLUMNS else _floats(c) for name, c in zip(header, columns)}
 
 
 def _offsets(raw: np.ndarray, byte: int) -> np.ndarray:
@@ -176,8 +180,8 @@ def _offsets(raw: np.ndarray, byte: int) -> np.ndarray:
                            for b in range(0, raw.size, _SCAN_BYTES)])
 
 
-def _column_parse(path: Path, data: bytes, layout) -> tuple[list[str], list] | None:
-    """Header and columns of a plain file, or None if it needs the line scan.
+def _column_parse(path: Path, data: bytes, check) -> dict | None:
+    """The columns of a plain file, or None if it needs the line scan.
 
     The body is parsed ``CHUNK_ROWS`` lines at a time into preallocated
     columns, each chunk by one ``np.loadtxt`` over a row of str (text) and
@@ -195,10 +199,10 @@ def _column_parse(path: Path, data: bytes, layout) -> tuple[list[str], list] | N
     if int(np.diff(ends, prepend=-1).max()) > csv.field_size_limit():
         return None  # csv.reader would reject a field this long
     header = data[:ends[0]].decode("ascii").split(",")
-    text_cols = layout(path, header)
+    check(path, header)
     n = ends.size - 1
-    row = np.dtype([(f"f{j}", object if j in text_cols else np.float64) for j in range(len(header))])
-    columns = [[] if j in text_cols else np.empty(n) for j in range(len(header))]
+    row = np.dtype([(name, object if name in TEXT_COLUMNS else np.float64) for name in header])
+    columns = {name: [] if name in TEXT_COLUMNS else np.empty(n) for name in header}
     for lo in range(0, n, CHUNK_ROWS):
         m = min(CHUNK_ROWS, n - lo)
         stream = BytesIO(data)  # shares the bytes of data
@@ -211,27 +215,27 @@ def _column_parse(path: Path, data: bytes, layout) -> tuple[list[str], list] | N
                 return None
         if rows.size != m:
             return None
-        for j, column in enumerate(columns):
-            if j in text_cols:
-                column += rows[f"f{j}"].tolist()
+        for name, column in columns.items():
+            if name in TEXT_COLUMNS:
+                column += rows[name].tolist()
             else:
-                column[lo:lo + m] = rows[f"f{j}"]
-    return header, columns
+                column[lo:lo + m] = rows[name]
+    return {name: tuple(c) if name in TEXT_COLUMNS else c for name, c in columns.items()}
 
 
-def _read_columns_csv(path, layout) -> tuple[list[str], list]:
-    """Read a CSV table as (header, columns).
+def _read_columns_csv(path, check) -> dict:
+    """Read a CSV table as ``{column name: column}``, in header order.
 
-    ``layout(path, header)`` checks the header, raising FileParseError, and
-    returns the indices of the text columns; every other column is parsed as
-    float64. Text columns come back as lists of str, float columns as arrays.
-    Blank lines are skipped, and the file's values and errors are exactly
-    those of a ``csv.reader`` scan with ``float()`` on every float cell.
+    ``check(path, header)`` validates the header, raising FileParseError
+    before any row is read. The columns named in ``TEXT_COLUMNS`` come back
+    as tuples of str, every other column as a float64 array. Blank lines are
+    skipped, and the file's values and errors are exactly those of a
+    ``csv.reader`` scan with ``float()`` on every float cell.
     """
     path = Path(path)
     data = path.read_bytes()
-    parsed = _column_parse(path, data, layout)
-    return parsed if parsed is not None else _scan_rows(path, data, layout)
+    parsed = _column_parse(path, data, check)
+    return parsed if parsed is not None else _scan_rows(path, data, check)
 
 
 # --- dataset CSV ------------------------------------------------------------
@@ -253,47 +257,36 @@ def write_dataset_csv(path, ids, features, targets, groups=None, true_sigma=None
     write_columns_csv(path, header, columns)
 
 
-def _dataset_layout(path: Path, header: list[str]) -> tuple[int, bool, bool]:
-    """(dim, has_group, has_sigma) of a dataset header."""
+def _check_dataset_header(path: Path, header: list[str]) -> None:
     if not header or header[0] != "id":
         raise FileParseError(f"{path}:1: first column must be 'id', got {header[:1]}")
-    tail = list(header[1:])
-    has_sigma = bool(tail) and tail[-1] == "true_sigma"
-    if has_sigma:
-        tail.pop()
-    has_group = bool(tail) and tail[-1] == "group"
-    if has_group:
-        tail.pop()
+    tail = header[1:]
+    for optional in ("true_sigma", "group"):  # the trailing columns, last first
+        if tail[-1:] == [optional]:
+            tail = tail[:-1]
     if not tail or tail[-1] != "y":
         raise FileParseError(f"{path}:1: expected a 'y' column, got header {header}")
     xcols = tail[:-1]
     if xcols != [f"x{j}" for j in range(len(xcols))] or not xcols:
         raise FileParseError(f"{path}:1: expected feature columns x0..x{{d-1}}, got {xcols}")
-    return len(xcols), has_group, has_sigma
-
-
-def _dataset_text_cols(path: Path, header: list[str]) -> set[int]:
-    dim, has_group, _ = _dataset_layout(path, header)
-    return {0, dim + 2} if has_group else {0}
 
 
 def read_dataset_csv(path) -> DatasetFile:
-    header, columns = _read_columns_csv(path, _dataset_text_cols)
-    dim, has_group, has_sigma = _dataset_layout(path, header)
+    c = _read_columns_csv(path, _check_dataset_header)
     ds = LabeledDataset(
-        ids=tuple(columns[0]),
-        features=np.column_stack(columns[1:dim + 1]),
-        targets=columns[dim + 1],
-        groups=tuple(columns[dim + 2]) if has_group else None,
+        ids=c["id"],
+        features=np.column_stack([v for name, v in c.items() if name.startswith("x")]),  # x0..x{d-1}
+        targets=c["y"],
+        groups=c.get("group"),
     )
-    return DatasetFile(dataset=ds, true_sigma=columns[-1] if has_sigma else None)
+    return DatasetFile(dataset=ds, true_sigma=c.get("true_sigma"))
 
 
 # --- prediction CSV ---------------------------------------------------------
 
 def write_predictions_csv(path, p: PredictionSet) -> None:
     """Write ``id,y_true,y_pred,sigma[,group]``; no rows writes the header only."""
-    header = ["id", "y_true", "y_pred", "sigma"]
+    header = list(PREDICTION_HEADER)
     columns = [p.ids, p.y_true, p.mu, p.sigma]
     if p.groups is not None:
         header.append("group")
@@ -301,21 +294,17 @@ def write_predictions_csv(path, p: PredictionSet) -> None:
     write_columns_csv(path, header, columns)
 
 
-def _prediction_text_cols(path: Path, header: list[str]) -> set[int]:
-    if header[:4] != ["id", "y_true", "y_pred", "sigma"]:
+def _check_prediction_header(path: Path, header: list[str]) -> None:
+    if tuple(header[:4]) != PREDICTION_HEADER:
         raise FileParseError(f"{path}:1: expected header id,y_true,y_pred,sigma[,group], got {header}")
-    has_group = len(header) == 5 and header[4] == "group"
-    if len(header) > 4 and not has_group:
+    if header[4:] not in ([], ["group"]):
         raise FileParseError(f"{path}:1: unexpected trailing columns {header[4:]}")
-    return {0, 4} if has_group else {0}
 
 
 def read_predictions_csv(path) -> PredictionSet:
-    header, columns = _read_columns_csv(path, _prediction_text_cols)
-    return PredictionSet(
-        ids=tuple(columns[0]), y_true=columns[1], mu=columns[2], sigma=columns[3],
-        groups=tuple(columns[4]) if len(header) == 5 else None,
-    )
+    c = _read_columns_csv(path, _check_prediction_header)
+    return PredictionSet(ids=c["id"], y_true=c["y_true"], mu=c["y_pred"], sigma=c["sigma"],
+                         groups=c.get("group"))
 
 
 # --- plot-ready tables ------------------------------------------------------
@@ -393,6 +382,8 @@ def _float_arrays(values: list, shapes: list, where: str, key: str) -> list[np.n
 
 
 def _model_from_dict(d, where: str) -> MlpModel:
+    from .neural import MlpConfig, MlpModel  # only a checkpoint read needs the network code
+
     _check_fields(d, _MODEL_FIELDS, MODEL_FORMAT, where)
     widths, seed = d["layer_widths"], d["seed"]
     if not _is_ints(widths):

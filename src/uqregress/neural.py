@@ -85,9 +85,9 @@ class TrainConfig:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.learning_rate > 0.0:
             raise DomainError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.lr_decay < 0.0:
+        if not self.lr_decay >= 0.0:
             raise DomainError(f"lr_decay must be >= 0, got {self.lr_decay}")
-        if self.reg_weight < 0.0:
+        if not self.reg_weight >= 0.0:
             raise DomainError(f"reg_weight must be >= 0, got {self.reg_weight}")
         if self.reg_weight > 0.2:
             warnings.warn(

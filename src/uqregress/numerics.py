@@ -215,7 +215,7 @@ def brent_minimize(f, lo: float, hi: float, tol: float = 1e-6, max_iter: int = 2
     """
     if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
@@ -294,8 +294,7 @@ def scott_bandwidth(samples: np.ndarray) -> float:
     n = samples.size
     if n < 2:
         raise DegenerateSampleError(f"need at least 2 samples, got {n}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        sd = float(np.std(samples, ddof=1))
+    sd = float(np.std(samples, ddof=1))
     if sd == 0.0:
         raise DegenerateSampleError("all samples are equal; bandwidth would be zero")
     if not np.isfinite(sd):

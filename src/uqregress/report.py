@@ -15,7 +15,7 @@ from typing import get_origin, get_type_hints
 
 from .calibration import DEFAULT_GRID_SIZE, CalibrationCurve, calibration_curve
 from .core import PredictionSet, validate_prediction_set
-from .errors import AllSigmaZeroError, ReportSchemaError
+from .errors import AllSigmaZeroError, ReportSchemaError, _check_keys
 from .metrics import AccuracyReport, DispersionReport, accuracy, dispersion, sharpness
 from .scoring import interval_score
 from .screening import honesty_rate
@@ -127,15 +127,6 @@ def _from_json(kind, value, where: str):
 def report_to_dict(r: MetricsReport) -> dict:
     """Stable, ordered dict form of a report (ready for json.dump)."""
     return {"format": REPORT_FORMAT, **_to_json(MetricsReport, r)}
-
-
-def _check_keys(d: dict, allowed: tuple[str, ...], where: str) -> None:
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ReportSchemaError(f"unknown field(s) {sorted(unknown)} in {where}")
-    missing = set(allowed) - set(d)
-    if missing:
-        raise ReportSchemaError(f"missing field(s) {sorted(missing)} in {where}")
 
 
 def report_from_dict(d: dict) -> MetricsReport:

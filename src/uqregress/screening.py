@@ -71,6 +71,6 @@ def honesty_rate(p: PredictionSet, multiplier: float) -> float:
     validate_prediction_set(p)
     if p.n < 1:
         raise DomainError("honesty_rate needs n >= 1")
-    if multiplier < 0.0:
+    if not multiplier >= 0.0:
         raise DomainError(f"multiplier must be >= 0, got {multiplier}")
     return float(np.mean(np.abs(p.y_true - p.mu) <= multiplier * p.sigma))

@@ -92,6 +92,8 @@ def ensemble_predict(members: list[MlpModel], test: LabeledDataset) -> Predictio
     mu = member mean, sigma = Bessel-corrected member std, per test point."""
     if len(members) < 2:
         raise DomainError("need >= 2 members for a std")
+    if any(m.config.layer_widths[-1] != 1 for m in members):
+        raise WrongHeadWidthError("an ensemble averages 1-unit regression heads")
     outputs = np.empty((len(members), test.n))
     for i, model in enumerate(members):
         outputs[i] = predict(model, test.features)[:, 0]

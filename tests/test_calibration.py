@@ -10,7 +10,7 @@ from uqregress.calibration import (
     normalized_residuals,
 )
 from uqregress.core import RngSeed
-from uqregress.errors import AllSigmaZeroError, FractionTooSmallError
+from uqregress.errors import AllSigmaZeroError, DomainError, FractionTooSmallError
 from uqregress.numerics import std_normal_cdf
 from uqregress.recalibration import fit_scalar
 
@@ -133,6 +133,12 @@ class TestAdversarialGroupCalibration:
         p = gaussian_null(100, seed=10)
         with pytest.raises(FractionTooSmallError):
             adversarial_group_calibration(p, [0.005], trials=2, subgroups=2, seed=RngSeed(0))
+
+    @pytest.mark.parametrize("fractions", [[np.nan], [0.5, np.nan], [0.0], [1.5]])
+    def test_fraction_outside_the_unit_interval(self, fractions):
+        p = gaussian_null(100, seed=10)
+        with pytest.raises(DomainError, match=r"fractions must lie in \(0, 1\]"):
+            adversarial_group_calibration(p, fractions, trials=2, subgroups=2)
 
 
 def counted_proportions(y, mu, sigma, grid_size=99):

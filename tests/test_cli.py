@@ -130,6 +130,16 @@ class TestPredict:
         assert capsys.readouterr().err == f"uqregress: error: {model} {message}\n"
         assert not (tmp_path / "x.csv").exists() and len(list(tmp_path.iterdir())) == header_only
 
+    def test_ensemble_of_evidential_members_fails(self, workspace, tmp_path, capsys):
+        member = json.loads(workspace["models"]["evidential"].read_text())
+        model = tmp_path / "ensemble.json"
+        model.write_text(json.dumps({"format": io.ENSEMBLE_FORMAT, "k": 2,
+                                     "member_training": "one_fold_each", "members": [member] * 2}))
+        assert run("predict", "--method", "ensemble", "--model", model,
+                   "--test", workspace["data"] / "test.csv", "--out", tmp_path / "pred.csv") == 1
+        _one_error_line(capsys, "an ensemble averages 1-unit regression heads")
+        assert list(tmp_path.iterdir()) == [model]
+
 
 class TestEvaluate:
     def test_report_parses_and_matches_in_memory_values(self, workspace, tmp_path):

@@ -1,5 +1,6 @@
-"""Cold start: no command and no library function loads scipy, and
-``import uqregress`` loads none of its modules until a name is used.
+"""Cold start: no command and no library function loads scipy,
+``import uqregress`` loads none of its modules until a name is used, and
+``uqregress.io`` reads tables with ``core`` and ``errors`` alone.
 
 Φ, Φ⁻¹, Brent, ln Γ, ψ and the evidential head's logistic are numpy and
 stdlib code. Each check runs in a fresh interpreter, because the test
@@ -148,6 +149,21 @@ def test_command_loads_no_scipy(tiny, tmp_path, command):
     )
     assert run_fresh(code) == [0, []]
     assert out.exists()
+
+
+def test_reading_tables_through_io_loads_only_core_and_errors(tiny):
+    # the format layer parses the evaluation half's inputs without loading it
+    code = (
+        "import json, sys\nimport uqregress.io as io\n"
+        "ours = lambda: sorted(k for k in sys.modules if k.startswith('uqregress'))\n"
+        f"io.read_dataset_csv({str(tiny / 'test.csv')!r})\n"
+        f"io.read_predictions_csv({str(tiny / 'pred.csv')!r})\nread = ours()\n"
+        f"io.load_checkpoint({str(tiny / 'dropout.json')!r})\n"
+        "print(json.dumps([read, ours()]))"
+    )
+    read, after_checkpoint = run_fresh(code)
+    assert read == ["uqregress", "uqregress.core", "uqregress.errors", "uqregress.io"]
+    assert "uqregress.neural" in after_checkpoint
 
 
 NO_SCIPY_CALLS = (

@@ -237,9 +237,9 @@ def test_fault_in_a_later_chunk_matches_reference(tmp_path, monkeypatch, chunk_r
     assert got == _outcome(reference, path)
     line = f"{path}:{LATE_ROW + 2}: "
     if fault is None:  # the column parse takes the file, one chunk at a time
-        layout = io._prediction_text_cols if header == PRED else io._dataset_text_cols
+        check = io._check_prediction_header if header == PRED else io._check_dataset_header
         with patch.object(io.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
-            assert io._column_parse(path, path.read_bytes(), layout) is not None
+            assert io._column_parse(path, path.read_bytes(), check) is not None
         assert loadtxt.call_count == -(-len(rows) // chunk_rows)
     elif fault == "bad cell":
         assert got[2] == f"{line}column {names[1]!r}: 'oops' is not a number"
@@ -258,11 +258,10 @@ def test_plain_file_takes_the_column_parse(tmp_path):
                       rng.normal(size=300), rng.uniform(size=300), groups=("g",) * 300)
     path = tmp_path / "pred.csv"
     io.write_predictions_csv(path, p)
-    parsed = io._column_parse(path, path.read_bytes(), io._prediction_text_cols)
+    parsed = io._column_parse(path, path.read_bytes(), io._check_prediction_header)
     assert parsed is not None
-    header, columns = parsed
-    assert header == ["id", "y_true", "y_pred", "sigma", "group"]
-    assert tuple(columns[0]) == p.ids and np.array_equal(columns[3], p.sigma)
+    assert list(parsed) == ["id", "y_true", "y_pred", "sigma", "group"]
+    assert parsed["id"] == p.ids and np.array_equal(parsed["sigma"], p.sigma)
 
 
 def test_quote_in_a_later_block_takes_the_line_scan(tmp_path, monkeypatch):
@@ -275,7 +274,7 @@ def test_quote_in_a_later_block_takes_the_line_scan(tmp_path, monkeypatch):
     io.write_predictions_csv(path, p)
     data = path.read_bytes()
     assert data.index(b'"') > 10 * io._SCAN_BYTES  # csv quotes the id "r,30"
-    assert io._column_parse(path, data, io._prediction_text_cols) is None
+    assert io._column_parse(path, data, io._check_prediction_header) is None
     with patch.object(io, "_scan_rows", wraps=io._scan_rows) as scan:
         got = _outcome(io.read_predictions_csv, path)
     assert scan.call_count == 1
@@ -287,7 +286,7 @@ def test_plain_byte_check_holds_no_file_sized_buffer():
     data = PRED + b"r0,1.0,2.0,0.5\n" * (1 << 19) + b'"\n'  # 8 MB, its one quote at the end
     tracemalloc.start()
     try:
-        assert io._column_parse(Path("big.csv"), data, io._prediction_text_cols) is None
+        assert io._column_parse(Path("big.csv"), data, io._check_prediction_header) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

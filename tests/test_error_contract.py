@@ -201,6 +201,31 @@ def test_out_of_domain_int_flag(inputs, argv):
     assert check_contract(workdir_with(inputs), argv) == 1
 
 
+FRACTIONS_DOMAIN = "fractions must lie in (0, 1]"
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["adversarial", *PRED, "--fractions", ","], "need at least one fraction"),
+    (["adversarial", *PRED, "--fractions", "0,0.5"], FRACTIONS_DOMAIN),
+    (["adversarial", *PRED, "--fractions", "1.5"], FRACTIONS_DOMAIN),
+    (["adversarial", *PRED, "--fractions", "0.5,nan"], FRACTIONS_DOMAIN),
+    (["recalibrate", *PRED, "--bracket-lo", "10", "--bracket-hi", "1"], "invalid bracket"),
+    ([*TRAIN, "--hidden", ","], "--hidden must name at least one hidden layer"),
+], ids=["no_fraction", "zero_fraction", "fraction_above_one", "nan_fraction", "inverted_bracket",
+        "no_hidden_layer"])
+def test_out_of_domain_value(inputs, argv, needle):
+    assert check_contract(workdir_with(inputs), argv, needle) == 1
+
+
+def test_adversarial_on_all_zero_sigmas(inputs):
+    rows = list(csv.reader(stdio.StringIO(inputs["pred"].decode())))
+    body = stdio.StringIO()
+    csv.writer(body, lineterminator="\n").writerows(
+        [rows[0], *([*r[:3], "0.0", *r[4:]] for r in rows[1:])])
+    workdir = workdir_with(inputs, **{"pred.csv": body.getvalue().encode()})
+    assert check_contract(workdir, ADVERSARIAL, "every sigma is zero") == 1
+
+
 DEEP = b"[" * 200_000  # deeper than the JSON decoder can recurse
 HUGE_INT = b'{"seed": ' + b"7" * 5_000 + b"}"  # past int()'s 4,300-digit limit
 

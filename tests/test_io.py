@@ -119,6 +119,15 @@ class TestPredictionsCsv:
         assert peak < 1.3 * (path.stat().st_size + retained)
 
 
+def test_numeric_looking_ids_and_group_tags_read_back_as_text(tmp_path):
+    ids, groups = ("7", "8"), ("1", "2")
+    data, pred = tmp_path / "data.csv", tmp_path / "pred.csv"
+    io.write_dataset_csv(data, ids, np.ones((2, 1)), np.zeros(2), groups, np.ones(2))
+    io.write_predictions_csv(pred, make_pset([1.0, 2.0], [1.0, 2.0], [0.1, 0.2], groups, ids))
+    ds, p = io.read_dataset_csv(data).dataset, io.read_predictions_csv(pred)
+    assert (ds.ids, ds.groups, p.ids, p.groups) == (ids, groups, ids, groups)
+
+
 class TestCheckpoints:
     def test_model_round_trip_bit_exact(self, tmp_path):
         m = MlpModel.initialize(MlpConfig((3, 8, 4), activation="softplus",

@@ -300,6 +300,11 @@ class TestTrain:
         with pytest.raises(DomainError):
             TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, lr_decay=-0.1)
 
+    @pytest.mark.parametrize("field", ["lr_decay", "reg_weight"])
+    def test_nan_decay_or_reg_weight_rejected(self, field):
+        with pytest.raises(DomainError, match=f"{field} must be >= 0, got nan"):
+            TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, **{field: float("nan")})
+
 
 class TestParameterBuffer:
     """Every weight and bias is a view of the model's one ``params`` buffer."""

@@ -220,6 +220,11 @@ class TestBrentMinimize:
         with pytest.raises(DomainError):
             brent_minimize(lambda s: s, 1.0, 1.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(DomainError, match=f"tol must be positive, got {tol}"):
+            brent_minimize(lambda s: (s - 1.0) ** 2, 0.0, 3.0, tol=tol)
+
 
 class TestKdeScott:
     def test_all_equal_is_degenerate(self):

@@ -89,6 +89,12 @@ class TestHonestyRate:
         p = make_pset([1.0, 2.0], [0.5, 1.0], [0.1, 0.1])
         assert honesty_rate(p, 0.0) == 0.0
 
+    @pytest.mark.parametrize("multiplier", [-1.0, float("nan")])
+    def test_negative_or_nan_multiplier_rejected(self, multiplier):
+        p = make_pset([1.0, 2.0], [0.5, 1.0], [0.1, 0.1])
+        with pytest.raises(DomainError, match=f"multiplier must be >= 0, got {multiplier}"):
+            honesty_rate(p, multiplier)
+
     def test_nondecreasing_in_multiplier(self):
         p = gaussian_null(5000, seed=2)
         rates = [honesty_rate(p, m) for m in (0.5, 1.0, 2.0, 3.0, 5.0)]

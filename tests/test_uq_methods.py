@@ -63,6 +63,15 @@ class TestEnsemble:
         with pytest.raises(DomainError, match="need >= 2 members for a std"):
             ensemble_predict([shifted_identity(1.0)] * n_members, test)
 
+    @pytest.mark.parametrize("first", ["regression", "evidential"])
+    def test_evidential_members_rejected_before_any_prediction(self, first, monkeypatch):
+        test = dataset_from(np.array([[0.0]]), np.array([0.5]))
+        evidential = MlpModel.initialize(MlpConfig((1, 4, 4), seed=RngSeed(3)))
+        members = [shifted_identity(1.0) if first == "regression" else evidential, evidential]
+        monkeypatch.setattr(uq_methods, "predict", None)  # calling it would raise TypeError
+        with pytest.raises(WrongHeadWidthError, match="1-unit regression heads"):
+            ensemble_predict(members, test)
+
     def test_kfold_produces_valid_prediction_set(self):
         train, test = synthetic_pair()
         p = ensemble_predict(train_kfold_members(train, tiny_spec()), test)
