@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PredictionSet, RngSeed, check_size, validate_prediction_set
+from .core import PredictionSet, RngSeed, check_count, check_size, validate_prediction_set
 from .errors import AllSigmaZeroError, DomainError, FractionTooSmallError
 from .numerics import std_normal_cdf
 
@@ -80,9 +80,7 @@ def _count_used(used: np.ndarray) -> int:
 
 
 def _expected_grid(grid_size: int) -> np.ndarray:
-    if grid_size < 1:
-        raise DomainError(f"grid_size must be >= 1, got {grid_size}")
-    check_size(grid_size, "grid_size")
+    grid_size = check_size(check_count(grid_size, "grid_size", 1), "grid_size")
     return np.arange(1, grid_size + 1, dtype=np.float64) / (grid_size + 1)
 
 
@@ -157,9 +155,8 @@ def adversarial_group_calibration(
         raise DomainError("need at least one fraction")
     if not np.all((fracs > 0.0) & (fracs <= 1.0)):  # NaN fails too
         raise DomainError("fractions must lie in (0, 1]")
-    if trials < 1 or subgroups < 1:
-        raise DomainError("trials and subgroups must be >= 1")
-    check_size(trials, "trials")
+    trials = check_size(check_count(trials, "trials", 1), "trials")
+    subgroups = check_count(subgroups, "subgroups", 1)
 
     z = _residual_ratio(p)
     used = p.sigma > 0.0

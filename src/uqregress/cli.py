@@ -23,7 +23,7 @@ import numpy as np
 
 from . import io
 from .calibration import DEFAULT_GRID_SIZE, adversarial_group_calibration, calibration_curve
-from .core import RngSeed, check_size, validate_prediction_set
+from .core import RngSeed, check_count, check_size, validate_prediction_set
 from .datagen import generate_synthetic
 from .errors import DegenerateSampleError, DomainError, FileParseError, UqError
 from .metrics import distribution_summary
@@ -142,9 +142,8 @@ def _require_predictions(path):
 
 
 def cmd_evaluate(args, written: list[str]) -> None:
-    if args.violin_points < 1:
-        raise DomainError(f"--violin-points must be >= 1, got {args.violin_points}")
-    check_size(args.violin_points, "--violin-points")  # the grid is sized after the curve is written
+    # the grid is sized after the curve is written, so the count is checked first
+    check_size(check_count(args.violin_points, "--violin-points", 1), "--violin-points")
     p = _require_predictions(args.pred)
     report, curve = evaluate(p, grid_size=args.grid_size, honesty_multiplier=args.honesty_multiplier)
     out = Path(args.out)

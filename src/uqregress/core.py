@@ -70,7 +70,7 @@ class RngSeed:
     def __post_init__(self) -> None:
         for name in ("seed", "stream_id"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or not 0 <= int(v) < 2**64:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= int(v) < 2**64:
                 raise DomainError(f"{name} must be an unsigned 64-bit integer, got {v!r}")
 
     def generator(self) -> np.random.Generator:
@@ -119,6 +119,17 @@ def check_size(size: int, what: str) -> int:
         raise DomainError(
             f"{what} is {size}, more than the {MAX_ARRAY_SIZE} values a float64 array can hold")
     return size
+
+
+def check_count(value, what: str, least: int = 0) -> int:
+    """``value`` as a Python int if it is an integer (a bool is not one) of at
+    least ``least``; otherwise a DomainError naming ``what``. A count that
+    sizes an array is also passed through :func:`check_size`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{what} must be >= {least}, got {value}")
+    return int(value)
 
 
 def _check_finite(ids: tuple[str, ...], name: str, values: np.ndarray, unit: str) -> None:
@@ -275,9 +286,7 @@ def split_k_folds(d: LabeledDataset, k: int, seed: RngSeed) -> list[LabeledDatas
     Fold sizes differ by at most one (the first ``n % k`` folds get the extra
     row). Same (dataset, k, seed) always yields the same folds.
     """
-    if k > d.n:
+    if check_count(k, "k", 2) > d.n:
         raise KTooLargeError(f"k={k} folds but only {d.n} rows")
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
     perm = seed.generator().permutation(d.n)
     return [d.subset(rows) for rows in np.array_split(perm, k)]

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DatasetFile, LabeledDataset, PredictionSet, RngSeed, check_size
-from .errors import DomainError
+from .core import DatasetFile, LabeledDataset, PredictionSet, RngSeed, check_count, check_size
 
 NOISE_FLOOR = 0.05
 NOISE_SLOPE = 0.2
@@ -39,12 +38,9 @@ def generate_synthetic(n: int, dim: int, seed: RngSeed, n_groups: int = 0) -> Da
 
     Deterministic for a given (n, dim, seed, n_groups).
     """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    if dim < 1:
-        raise DomainError(f"dim must be >= 1, got {dim}")
-    if n_groups < 0:
-        raise DomainError(f"n_groups must be >= 0, got {n_groups}")
+    n = check_count(n, "n")
+    dim = check_count(dim, "dim", 1)
+    n_groups = check_count(n_groups, "n_groups")
     check_size(n * dim, "n * dim")
     check_size(dim, "dim")  # also sizes the (0, dim) features of an empty draw
     check_size(n_groups, "n_groups")  # group bins are compared as int64

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evidential as ev
-from .core import LabeledDataset, RngSeed, check_size, counter_uniform
+from .core import LabeledDataset, RngSeed, check_count, check_size, counter_uniform
 from .errors import (
     DivergenceError,
     DomainError,
@@ -46,11 +46,10 @@ class MlpConfig:
     seed: RngSeed = RngSeed(0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
-        if len(self.layer_widths) < 3:
+        widths = tuple(check_count(w, "layer width", 1) for w in self.layer_widths)
+        object.__setattr__(self, "layer_widths", widths)
+        if len(widths) < 3:
             raise DomainError("need at least one hidden layer (input, hidden..., output)")
-        if any(w < 1 for w in self.layer_widths):
-            raise DomainError(f"layer widths must be positive, got {self.layer_widths}")
         if self.layer_widths[-1] not in (1, 4):
             raise WrongHeadWidthError(
                 f"output width must be 1 (plain) or 4 (evidential), got {self.layer_widths[-1]}"
@@ -79,16 +78,14 @@ class TrainConfig:
     seed: RngSeed = RngSeed(0)
 
     def __post_init__(self) -> None:
-        if self.epochs < 0:
-            raise DomainError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0.0:
-            raise DomainError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not self.lr_decay >= 0.0:
-            raise DomainError(f"lr_decay must be >= 0, got {self.lr_decay}")
-        if not self.reg_weight >= 0.0:
-            raise DomainError(f"reg_weight must be >= 0, got {self.reg_weight}")
+        check_count(self.epochs, "epochs")
+        check_count(self.batch_size, "batch_size", 1)
+        if not 0.0 < self.learning_rate < np.inf:  # NaN fails too
+            raise DomainError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0.0 <= self.lr_decay < np.inf:
+            raise DomainError(f"lr_decay must be finite and >= 0, got {self.lr_decay}")
+        if not 0.0 <= self.reg_weight < np.inf:
+            raise DomainError(f"reg_weight must be finite and >= 0, got {self.reg_weight}")
         if self.reg_weight > 0.2:
             warnings.warn(
                 f"evidential regularization weight {self.reg_weight} > 0.2 is prone to divergence",

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_count
 from .errors import DegenerateSampleError, DomainError, NonFiniteValueError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -215,8 +216,9 @@ def brent_minimize(f, lo: float, hi: float, tol: float = 1e-6, max_iter: int = 2
     """
     if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:  # NaN fails too
+        raise DomainError(f"tol must be finite and positive, got {tol}")
+    max_iter = check_count(max_iter, "max_iter", 1)
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
     a, b = lo, hi

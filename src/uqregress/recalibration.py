@@ -84,8 +84,9 @@ def fit_scalar(
     raised; the best point found is still returned.
     """
     validate_prediction_set(p)
-    if not 0.0 < bracket_lo < bracket_hi:
-        raise DomainError(f"invalid bracket [{bracket_lo}, {bracket_hi}]")
+    if not 0.0 < bracket_lo < bracket_hi < np.inf:  # NaN fails too
+        raise DomainError(f"invalid bracket [{bracket_lo}, {bracket_hi}]: "
+                          "need 0 < bracket_lo < bracket_hi < inf")
     used = p.sigma > 0.0
     if not used.any():
         raise AllSigmaZeroError("every sigma is zero; nothing to recalibrate")

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import evidential as ev
-from .core import LabeledDataset, PredictionSet, RngSeed, counter_uniform, split_k_folds
+from .core import (LabeledDataset, PredictionSet, RngSeed, check_count, counter_uniform,
+                   split_k_folds)
 from .errors import DomainError, FoldTooSmallError, WrongHeadWidthError
 from .neural import (MlpConfig, MlpModel, TrainConfig, _forward_cached, _hidden_masks, _mask_index,
                      predict, train)
@@ -43,8 +44,7 @@ class EnsembleSpec:
     member_training: str = "one_fold_each"
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise DomainError(f"ensemble needs k >= 2, got {self.k}")
+        check_count(self.k, "k", 2)
         if self.member_training not in MEMBER_TRAINING_MODES:
             raise DomainError(f"member_training must be one of {MEMBER_TRAINING_MODES}")
 
@@ -58,8 +58,7 @@ class DropoutSpec:
     seed: RngSeed = RngSeed(0)
 
     def __post_init__(self) -> None:
-        if self.samples < 2:
-            raise DomainError(f"need >= 2 dropout samples for a std, got {self.samples}")
+        check_count(self.samples, "samples", 2)  # a std needs two draws
         if not 0.0 <= self.rate <= 0.5:
             raise DomainError(f"dropout rate must be in [0, 0.5], got {self.rate}")
 

@@ -630,12 +630,20 @@ class TestUnwritableInputs:
         ("adversarial", ["--trials", 10**20, "--fractions", 1.0], f"trials is {10**20}, more than"),
         ("adversarial", ["--grid-size", 10**20, "--fractions", 1.0], f"grid_size is {10**20}, more"),
         ("recalibrate", ["--grid-size", 10**20], f"grid_size is {10**20}, more than"),
+        # counts below their least value, named by the library's one count check
+        ("train", ["--method", "ensemble", "--k", 1], "k must be >= 2, got 1"),
+        ("train", ["--hidden", "0,8"], "layer width must be >= 1, got 0"),
+        ("predict", ["--samples", 1], "samples must be >= 2, got 1"),
+        ("adversarial", ["--trials", 0], "trials must be >= 1, got 0"),
+        ("adversarial", ["--subgroups", 0], "subgroups must be >= 1, got 0"),
     ])
     def test_work_size_flag_is_one_error_line(self, workspace, tmp_path, capsys, command, flags,
                                               needle):
         files = {"generate": ["--out", tmp_path / "data"],
                  "train": ["--method", "dropout", "--train", workspace["data"] / "train.csv",
-                           "--out", tmp_path / "m.json"]}
+                           "--out", tmp_path / "m.json"],
+                 "predict": ["--method", "dropout", "--model", workspace["models"]["dropout"],
+                             "--test", workspace["data"] / "test.csv", "--out", tmp_path / "p.csv"]}
         assert run(command, *files.get(command, ["--pred", workspace["preds"]["ensemble"],
                                                  "--out", tmp_path / "r.json"]), *flags) == 1
         _one_error_line(capsys, needle)

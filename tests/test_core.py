@@ -1,15 +1,21 @@
-"""Data model invariants, validation errors, fold splitting, RNG contract."""
+"""Data model invariants, validation errors, fold splitting, RNG contract,
+and the one check behind every count argument."""
 
+import argparse
 import dataclasses
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from uqregress import cli
+from uqregress.calibration import adversarial_group_calibration, calibration_curve
 from uqregress.core import (
     LabeledDataset,
     PredictionSet,
     RngSeed,
+    check_count,
     counter_uniform,
     split_k_folds,
     validate_prediction_set,
@@ -22,7 +28,10 @@ from uqregress.errors import (
     NegativeSigmaError,
     NonFiniteValueError,
 )
+from uqregress.datagen import calibrated_prediction_set, generate_synthetic
 from uqregress.neural import MlpConfig, MlpModel, TrainConfig, loss_and_gradient, train
+from uqregress.numerics import brent_minimize
+from uqregress.uq_methods import DropoutSpec, EnsembleSpec
 
 from conftest import make_pset
 
@@ -278,6 +287,12 @@ class TestRngSeed:
         with pytest.raises(DomainError):
             RngSeed(2**64)
 
+    @pytest.mark.parametrize("args, name", [((True,), "seed"), ((5, False), "stream_id"),
+                                            ((np.True_,), "seed")])
+    def test_rejects_bools(self, args, name):
+        with pytest.raises(DomainError, match=f"{name} must be an unsigned 64-bit integer"):
+            RngSeed(*args)
+
     def test_counter_uniform_is_order_independent(self):
         s = RngSeed(11, 13)
         grid = counter_uniform(s, np.arange(6)[:, None], np.arange(4)[None, :])
@@ -291,3 +306,65 @@ class TestRngSeed:
         u = counter_uniform(RngSeed(3), np.arange(20000), 0)
         assert abs(u.mean() - 0.5) < 0.01
         assert abs(u.var() - 1.0 / 12.0) < 0.005
+
+
+def _oracle():
+    return calibrated_prediction_set(generate_synthetic(40, 2, RngSeed(1)))
+
+
+def _quadratic(x):
+    return (x - 1.0) ** 2
+
+
+# every count argument of the library and CLI: the name its messages begin
+# with, the least value it takes, and a call that passes it a value v
+COUNT_ARGUMENTS = {
+    "calibration_curve.grid_size": ("grid_size", 1, lambda v: calibration_curve(_oracle(), v)),
+    "adversarial.trials": (
+        "trials", 1, lambda v: adversarial_group_calibration(_oracle(), [0.5], trials=v)),
+    "adversarial.subgroups": (
+        "subgroups", 1, lambda v: adversarial_group_calibration(_oracle(), [0.5], subgroups=v)),
+    "evaluate.--violin-points": (
+        "--violin-points", 1, lambda v: cli.cmd_evaluate(argparse.Namespace(violin_points=v), [])),
+    "split_k_folds.k": ("k", 2, lambda v: split_k_folds(small_dataset(), v, RngSeed(0))),
+    "generate_synthetic.n": ("n", 0, lambda v: generate_synthetic(v, 2, RngSeed(0))),
+    "generate_synthetic.dim": ("dim", 1, lambda v: generate_synthetic(5, v, RngSeed(0))),
+    "generate_synthetic.n_groups": (
+        "n_groups", 0, lambda v: generate_synthetic(5, 2, RngSeed(0), n_groups=v)),
+    "MlpConfig.layer_widths": ("layer width", 1, lambda v: MlpConfig((2, v, 1))),
+    "TrainConfig.epochs": (
+        "epochs", 0, lambda v: TrainConfig(epochs=v, batch_size=8, learning_rate=0.01)),
+    "TrainConfig.batch_size": (
+        "batch_size", 1, lambda v: TrainConfig(epochs=1, batch_size=v, learning_rate=0.01)),
+    "EnsembleSpec.k": ("k", 2, lambda v: EnsembleSpec(
+        k=v, mlp=MlpConfig((2, 4, 1)),
+        train=TrainConfig(epochs=1, batch_size=8, learning_rate=0.01))),
+    "DropoutSpec.samples": ("samples", 2, lambda v: DropoutSpec(v)),
+    "brent_minimize.max_iter": ("max_iter", 1, lambda v: brent_minimize(_quadratic, 0.0, 3.0,
+                                                                        max_iter=v)),
+}
+
+
+class TestCheckCount:
+    def test_numpy_integer_becomes_a_python_int(self):
+        out = check_count(np.int64(3), "x")
+        assert out == 3 and type(out) is int
+
+    @pytest.mark.parametrize("value, needle", [
+        (True, "x must be an integer, got True"),
+        (np.True_, f"x must be an integer, got {np.True_!r}"),
+        (3.0, "x must be an integer, got 3.0"),
+        (-1, "x must be >= 0, got -1"),
+    ])
+    def test_refusals_name_the_argument(self, value, needle):
+        with pytest.raises(DomainError, match=re.escape(needle)):
+            check_count(value, "x")
+
+    @pytest.mark.parametrize("bad", ["float", "bool", "str", "below_least"])
+    @pytest.mark.parametrize("site", COUNT_ARGUMENTS)
+    def test_every_count_argument_refuses_by_name(self, site, bad):
+        # one DomainError whose message leads with the argument, before any work
+        name, least, call = COUNT_ARGUMENTS[site]
+        value = {"float": 2.5, "bool": True, "str": "3", "below_least": least - 1}[bad]
+        with pytest.raises(DomainError, match=f"^{re.escape(name)} must be "):
+            call(value)

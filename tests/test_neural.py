@@ -1,5 +1,7 @@
 """MLP forward/backward correctness: finite-difference oracles, dropout, SGD."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -302,8 +304,18 @@ class TestTrain:
 
     @pytest.mark.parametrize("field", ["lr_decay", "reg_weight"])
     def test_nan_decay_or_reg_weight_rejected(self, field):
-        with pytest.raises(DomainError, match=f"{field} must be >= 0, got nan"):
+        with pytest.raises(DomainError, match=f"{field} must be finite and >= 0, got nan"):
             TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, **{field: float("nan")})
+
+    @pytest.mark.parametrize("field, rule", [("learning_rate", "> 0"), ("lr_decay", ">= 0"),
+                                             ("reg_weight", ">= 0")])
+    def test_infinite_rate_decay_or_reg_weight_rejected(self, field, rule):
+        # refused by name before training, and before reg_weight's divergence warning
+        settings = {"epochs": 1, "batch_size": 1, "learning_rate": 0.1, field: float("inf")}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"{field} must be finite and {rule}, got inf"):
+                TrainConfig(**settings)
 
 
 class TestParameterBuffer:

@@ -220,9 +220,9 @@ class TestBrentMinimize:
         with pytest.raises(DomainError):
             brent_minimize(lambda s: s, 1.0, 1.0)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
     def test_tol_must_be_positive(self, tol):
-        with pytest.raises(DomainError, match=f"tol must be positive, got {tol}"):
+        with pytest.raises(DomainError, match=f"tol must be finite and positive, got {tol}"):
             brent_minimize(lambda s: (s - 1.0) ** 2, 0.0, 3.0, tol=tol)
 
 

@@ -114,6 +114,14 @@ class TestFitScalar:
         res = fit_scalar(p, bracket_lo=0.5, bracket_hi=2.0)
         assert 0.5 <= res.scalar <= 2.0
 
+    @pytest.mark.parametrize("bracket_lo", [1e-3, 1.0])
+    def test_infinite_bracket_hi_is_refused(self, bracket_lo):
+        # an infinite upper end has no log-space grid: refused by name, not
+        # reported as a non-finite scalar after the pre-scan
+        with pytest.raises(DomainError, match=rf"\[{bracket_lo}, inf\]: need 0 < bracket_lo < "
+                                              r"bracket_hi < inf"):
+            fit_scalar(gaussian_null(200, seed=13), bracket_lo=bracket_lo, bracket_hi=np.inf)
+
     def test_all_sigma_zero(self):
         with pytest.raises(AllSigmaZeroError):
             fit_scalar(make_pset([1.0, 2.0], [1.0, 2.0], [0.0, 0.0]))
