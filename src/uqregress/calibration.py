@@ -9,7 +9,8 @@ curve hugs the diagonal.
 Each point is binned once: its bin is the index of the first grid value at or
 above its Φ(z), so it counts at that grid value and every later one, and a
 curve over any subset of points is a cumulative count of their bins. Only
-sigma == 0 points are left out. A sigma > 0 point whose z overflows to ±inf
+sigma == 0 points are left out, and with fewer than two sigma > 0 points no
+curve exists (AllSigmaZeroError). A sigma > 0 point whose z overflows to ±inf
 has Φ(z) = 1 or 0 and counts like any other. ``recalibration.fit_scalar``
 counts the same comparison in z-space, z <= Φ⁻¹(p); the two agree unless a
 point lies within a few ulps of a grid quantile.
@@ -69,19 +70,22 @@ def _residual_ratio(p: PredictionSet) -> np.ndarray:
     return z
 
 
-def _count_used(used: np.ndarray) -> int:
-    """Number of sigma > 0 points; raises unless there are at least 2."""
+def _curve_rows(p: PredictionSet, grid_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The preamble of every curve: ``p`` validated once, the sigma > 0 mask,
+    those rows' residual ratios, and the expected grid.
+
+    A curve needs at least 2 sigma > 0 points; with fewer, AllSigmaZeroError.
+    """
+    validate_prediction_set(p)
+    used = p.sigma > 0.0
     n_used = int(np.count_nonzero(used))
     if n_used == 0:
         raise AllSigmaZeroError("every sigma is zero; no calibration curve exists")
     if n_used < 2:
-        raise DomainError(f"need >= 2 points with sigma > 0, got {n_used}")
-    return n_used
-
-
-def _expected_grid(grid_size: int) -> np.ndarray:
+        raise AllSigmaZeroError(f"need >= 2 points with sigma > 0, got {n_used}")
     grid_size = check_size(check_count(grid_size, "grid_size", 1), "grid_size")
-    return np.arange(1, grid_size + 1, dtype=np.float64) / (grid_size + 1)
+    expected = np.arange(1, grid_size + 1, dtype=np.float64) / (grid_size + 1)
+    return used, _residual_ratio(p)[used], expected
 
 
 def _grid_bins(z: np.ndarray, expected: np.ndarray) -> np.ndarray:
@@ -115,12 +119,10 @@ def calibration_curve(p: PredictionSet, grid_size: int = DEFAULT_GRID_SIZE) -> C
     the trapezoidal integral of |observed - expected| including the implicit
     (0,0) and (1,1) endpoints.
     """
-    z = normalized_residuals(p)
-    used = p.sigma > 0.0
-    n_used = _count_used(used)
-    expected = _expected_grid(grid_size)
+    _, z_used, expected = _curve_rows(p, grid_size)
+    n_used = z_used.size
     # the count ignores order; sorted keys only make the grid search faster
-    observed = _observed_proportions(_grid_bins(np.sort(z[used]), expected), n_used, grid_size)
+    observed = _observed_proportions(_grid_bins(np.sort(z_used), expected), n_used, grid_size)
     return CalibrationCurve(
         expected=expected,
         observed=observed,
@@ -149,7 +151,7 @@ def adversarial_group_calibration(
     Each (fraction, trial) pair runs on its own derived RNG stream, so the
     result is independent of evaluation order.
     """
-    validate_prediction_set(p)
+    used, z_used, expected = _curve_rows(p, grid_size)
     fracs = np.asarray(fractions, dtype=np.float64).ravel()
     if fracs.size == 0:
         raise DomainError("need at least one fraction")
@@ -158,14 +160,9 @@ def adversarial_group_calibration(
     trials = check_size(check_count(trials, "trials", 1), "trials")
     subgroups = check_count(subgroups, "subgroups", 1)
 
-    z = _residual_ratio(p)
-    used = p.sigma > 0.0
     all_used = bool(used.all())
-    if not used.any():
-        raise AllSigmaZeroError("every sigma is zero; no calibration curve exists")
-    expected = _expected_grid(grid_size)
     bins = np.full(p.n, grid_size, dtype=np.intp)  # sigma == 0 counts nowhere
-    bins[used] = _grid_bins(z[used], expected)
+    bins[used] = _grid_bins(z_used, expected)
 
     sizes = np.rint(fracs * p.n).astype(int)
     for f, size in zip(fracs, sizes):

@@ -48,8 +48,8 @@ class MissingGroupsError(UqError):
     """Grouped metrics requested on a set without group tags."""
 
 
-class AllSigmaZeroError(UqError):
-    """Every prediction has sigma == 0; no calibration curve exists."""
+class AllSigmaZeroError(DomainError):
+    """Fewer than two predictions have sigma > 0; no calibration curve exists."""
 
 
 class FractionTooSmallError(UqError):

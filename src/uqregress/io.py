@@ -2,9 +2,9 @@
 
 All floats are written with shortest round-trip decimal formatting (repr), so
 a write/read cycle reproduces every value bit-exactly and re-running a
-command yields byte-identical files. Every writer also drops a sidecar
-``<file>.manifest.json`` recording the command and resolved configuration
-that produced the file.
+command yields byte-identical files. ``write_manifest`` writes the sidecar
+``<file>.manifest.json`` that records the command and resolved configuration
+behind a file; the CLI calls it once per output after the command succeeds.
 
 CSV tables are written and read a column at a time, ``CHUNK_ROWS`` rows at a
 time, so a read holds about the file's bytes plus the parsed columns. Text

@@ -204,9 +204,11 @@ class BrentResult:
 def brent_minimize(f, lo: float, hi: float, tol: float = 1e-6, max_iter: int = 200) -> BrentResult:
     """Minimize ``f`` on [lo, hi] by Brent's bounded method.
 
-    ``tol`` is an absolute tolerance on the argument. When ``max_iter``
-    evaluations of ``f`` are spent the best point found so far is returned
-    with converged=False rather than raising.
+    ``tol`` is an absolute tolerance on the argument. ``f`` is evaluated at
+    most max(max_iter, 2) times, since the budget is first checked after the
+    second evaluation (scipy's ``maxfun``); ``iterations`` is the number of
+    evaluations. When the budget is spent the best point found so far is
+    returned with converged=False rather than raising.
 
     This is scipy's ``_minimize_scalar_bounded`` (``minimize_scalar(method=
     "bounded")``, scipy/optimize/_optimize.py, BSD-3-Clause, Copyright (c)

@@ -18,16 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import (
-    DEFAULT_GRID_SIZE,
-    _area_between,
-    _count_used,
-    _expected_grid,
-    _residual_ratio,
-    calibration_curve,
-)
+from .calibration import DEFAULT_GRID_SIZE, _area_between, _curve_rows, calibration_curve
 from .core import PredictionSet, validate_prediction_set
-from .errors import AllSigmaZeroError, DomainError, NonPositiveScalarError
+from .errors import DomainError, NonPositiveScalarError
 from .numerics import BrentResult, brent_minimize, std_normal_quantile
 
 PRESCAN_POINTS = 25
@@ -72,8 +65,9 @@ def fit_scalar(
     Φ(z/s) <= expected. The areas are therefore that curve's areas unless a
     point lies within a few ulps of a grid quantile (or sigma·s underflows to
     0, which the curve would exclude). The errors are the curve's: sigma == 0
-    points are excluded, fewer than 2 sigma > 0 points raise DomainError, and
-    a scale at which sigma·s overflows raises what validating it raises.
+    points are excluded, fewer than 2 sigma > 0 points raise
+    AllSigmaZeroError, and a scale at which sigma·s overflows raises what
+    validating it raises.
 
     Brent then refines ln(s) inside the best pre-scan cell to ``BRENT_TOL``,
     in at most ``BRENT_MAX_ITER`` iterations. The returned scalar is never
@@ -83,24 +77,19 @@ def fit_scalar(
     A non-converged Brent run is reported via ``brent.converged`` rather than
     raised; the best point found is still returned.
     """
-    validate_prediction_set(p)
+    _, z_used, expected = _curve_rows(p, grid_size)
     if not 0.0 < bracket_lo < bracket_hi < np.inf:  # NaN fails too
         raise DomainError(f"invalid bracket [{bracket_lo}, {bracket_hi}]: "
                           "need 0 < bracket_lo < bracket_hi < inf")
-    used = p.sigma > 0.0
-    if not used.any():
-        raise AllSigmaZeroError("every sigma is zero; nothing to recalibrate")
-    n_used = _count_used(used)
-    expected = _expected_grid(grid_size)
     q = std_normal_quantile(expected)
-    z_sorted = np.sort(_residual_ratio(p)[used])
+    z_sorted = np.sort(z_used)
     sigma_max = float(p.sigma.max())
 
     def area_at(t: float) -> float:
         s = _check_scalar(float(np.exp(t)))
         if not np.isfinite(sigma_max * s):  # overflowed: raise what validation raises
             validate_prediction_set(p.with_sigma(p.sigma * s))
-        observed = np.searchsorted(z_sorted, s * q, side="right") / n_used
+        observed = np.searchsorted(z_sorted, s * q, side="right") / z_sorted.size
         return _area_between(expected, observed)
 
     t_lo, t_hi = float(np.log(bracket_lo)), float(np.log(bracket_hi))

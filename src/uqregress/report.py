@@ -45,8 +45,8 @@ def evaluate(
 ) -> tuple[MetricsReport, CalibrationCurve | None]:
     """Compute the whole portfolio; returns the report and the curve.
 
-    The curve is None (with "AllSigmaZero" recorded in errors) when no point
-    has sigma > 0.
+    The curve is None (with "AllSigmaZero" recorded in errors) when fewer
+    than two points have sigma > 0.
     """
     validate_prediction_set(p)
     acc = accuracy(p)
@@ -61,7 +61,7 @@ def evaluate(
         curve = None
         area = None
         n_used = 0
-        n_excluded = p.n
+        n_excluded = int((p.sigma == 0.0).sum())
         errors.append("AllSigmaZero")
     score = interval_score(p)
     report = MetricsReport(

@@ -173,11 +173,32 @@ class TestBinnedCounting:
         assert adv.mean_worst_area[0] == calibration_curve(q).miscalibration_area
 
     def test_subgroup_without_two_usable_points(self):
+        # the whole set has a curve; a subgroup of 2 rows drawn from it need not
         sigma = np.zeros(10)
-        sigma[3] = 1.0
-        p = make_pset(np.zeros(10), np.zeros(10), sigma)
-        with pytest.raises(AllSigmaZeroError, match="has 1 usable points"):
-            adversarial_group_calibration(p, [1.0], trials=1, subgroups=1)
+        sigma[[3, 8]] = 1.0
+        p = make_pset(np.arange(10.0), np.zeros(10), sigma)
+        with pytest.raises(AllSigmaZeroError, match="subgroup of size 2 has 1 usable points"):
+            adversarial_group_calibration(p, [0.2], trials=1, subgroups=1)
+
+
+CURVE_BUILDERS = {
+    "calibration_curve": calibration_curve,
+    "adversarial": lambda p: adversarial_group_calibration(p, [1.0], trials=1, subgroups=1),
+    "fit_scalar": fit_scalar,
+}
+
+
+@pytest.mark.parametrize("builder", CURVE_BUILDERS)
+@pytest.mark.parametrize("n_usable, message", [
+    (0, "every sigma is zero; no calibration curve exists"),
+    (1, "need >= 2 points with sigma > 0, got 1"),
+])
+def test_fewer_than_two_usable_points_have_no_curve(builder, n_usable, message):
+    sigma = np.zeros(6)
+    sigma[:n_usable] = 0.5
+    with pytest.raises(AllSigmaZeroError, match=f"^{message}$") as info:
+        CURVE_BUILDERS[builder](make_pset(np.arange(6.0), np.zeros(6), sigma))
+    assert isinstance(info.value, DomainError)
 
 
 class TestOverflowingResidualRatio:

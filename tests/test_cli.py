@@ -189,6 +189,20 @@ class TestEvaluate:
         assert report["calibration_n_used"] == 4
         assert report["calibration_n_excluded_zero_sigma"] == 0
 
+    def test_one_usable_row_is_a_partial_report(self, tmp_path):
+        # one sigma > 0 row has no curve, like none: the report records it and goes on
+        pred = tmp_path / "p.csv"
+        pred.write_text("id,y_true,y_pred,sigma\na,1,0,0\nb,0.5,0.1,0.7\nc,-0.3,0.2,0\n")
+        out = tmp_path / "report.json"
+        assert run("evaluate", "--pred", pred, "--out", out) == 0
+        report = json.loads(out.read_text())
+        assert report["errors"] == ["AllSigmaZero"]
+        assert report["miscalibration_area"] is None
+        assert (report["calibration_n_used"], report["calibration_n_excluded_zero_sigma"]) == (0, 2)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "p.csv", "report.json", "report.json.manifest.json", "report.violin.csv",
+            "report.violin.csv.manifest.json"]
+
     @pytest.mark.parametrize("sigmas", [("0.5", "0.5", "0.5"), ("1e308", "1.7e308", "1.5e308")],
                              ids=["equal", "overflowing_spread"])
     def test_sigmas_without_a_bandwidth_report_a_degenerate_sample(self, tmp_path, sigmas):
@@ -320,7 +334,7 @@ class TestRecalibrate:
 
     @pytest.mark.parametrize("seed, message", [
         (1, "need >= 2 points with sigma > 0, got 1"),
-        (14, "every sigma is zero; nothing to recalibrate"),
+        (14, "every sigma is zero; no calibration curve exists"),
     ])
     def test_fit_half_without_two_usable_rows_fails_with_the_fit_message(
             self, tmp_path, capsys, seed, message):

@@ -206,6 +206,15 @@ class TestBrentMinimize:
         assert not res.converged
         assert 0.0 <= res.argmin <= 10.0
 
+    @pytest.mark.parametrize("max_iter, evaluations", [(1, 2), (2, 2), (3, 3)])
+    def test_max_iter_allows_at_least_two_evaluations(self, max_iter, evaluations):
+        # the budget is first checked after the second evaluation, as scipy's maxfun
+        calls = []
+        res = brent_minimize(lambda s: calls.append(s) or (s - 2.0) ** 2, 0.0, 10.0,
+                             tol=1e-12, max_iter=max_iter)
+        assert len(calls) == res.iterations == evaluations
+        assert not res.converged
+
     def test_random_unimodal_quartics(self, rng):
         for _ in range(25):
             a = rng.uniform(-0.8, 0.8)

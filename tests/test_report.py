@@ -40,6 +40,14 @@ class TestEvaluate:
         assert "AllSigmaZero" in report.errors
         assert report.accuracy.mae == 0.0  # the rest of the portfolio survives
 
+    def test_one_usable_point_yields_partial_report(self):
+        report, curve = evaluate(make_pset([1.0, 2.0, 0.5], [1.0, 1.5, 2.0], [0.0, 0.3, 0.0]))
+        assert curve is None
+        assert report.miscalibration_area is None
+        assert report.errors == ("AllSigmaZero",)
+        assert (report.calibration_n_used, report.calibration_n_excluded_zero_sigma) == (0, 2)
+        assert report.sharpness > 0.0  # the rest of the portfolio survives
+
 
 class TestReportSchema:
     def test_round_trip(self):
