@@ -27,6 +27,7 @@ from .errors import AllSigmaZeroError, DomainError, FractionTooSmallError
 from .numerics import std_normal_cdf
 
 DEFAULT_GRID_SIZE = 99
+_AREA_ROWS = 64  # the most subgroup curves the adversarial sweep holds at once
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,8 @@ def _curve_rows(p: PredictionSet, grid_size: int) -> tuple[np.ndarray, np.ndarra
 
     A curve needs at least 2 sigma > 0 points; with fewer, AllSigmaZeroError.
     """
+    # the grid is checked first, so its error does not depend on the data
+    grid_size = check_size(check_count(grid_size, "grid_size", 1), "grid_size")
     validate_prediction_set(p)
     used = p.sigma > 0.0
     n_used = int(np.count_nonzero(used))
@@ -83,7 +86,6 @@ def _curve_rows(p: PredictionSet, grid_size: int) -> tuple[np.ndarray, np.ndarra
         raise AllSigmaZeroError("every sigma is zero; no calibration curve exists")
     if n_used < 2:
         raise AllSigmaZeroError(f"need >= 2 points with sigma > 0, got {n_used}")
-    grid_size = check_size(check_count(grid_size, "grid_size", 1), "grid_size")
     expected = np.arange(1, grid_size + 1, dtype=np.float64) / (grid_size + 1)
     return used, _residual_ratio(p)[used], expected
 
@@ -104,11 +106,15 @@ def _observed_proportions(bins: np.ndarray, n_used: int, grid_size: int) -> np.n
     return np.cumsum(counts) / n_used
 
 
-def _area_between(expected: np.ndarray, observed: np.ndarray) -> float:
-    # trapezoid of |observed - expected| over [0, 1] with implicit (0,0), (1,1)
+def _area_between(expected: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """Trapezoid of |observed - expected| over [0, 1] with the implicit (0, 0)
+    and (1, 1) endpoints, for each curve along the last axis of ``observed``:
+    a scalar for one curve, one area per row for a stack of them."""
     x = np.concatenate(([0.0], expected, [1.0]))
-    y = np.concatenate(([0.0], np.abs(observed - expected), [0.0]))
-    return float(np.trapezoid(y, x))
+    y = np.zeros(observed.shape[:-1] + x.shape)
+    gaps = y[..., 1:-1]
+    np.abs(np.subtract(observed, expected, out=gaps), out=gaps)
+    return np.trapezoid(y, x, axis=-1)
 
 
 def calibration_curve(p: PredictionSet, grid_size: int = DEFAULT_GRID_SIZE) -> CalibrationCurve:
@@ -126,7 +132,7 @@ def calibration_curve(p: PredictionSet, grid_size: int = DEFAULT_GRID_SIZE) -> C
     return CalibrationCurve(
         expected=expected,
         observed=observed,
-        miscalibration_area=_area_between(expected, observed),
+        miscalibration_area=float(_area_between(expected, observed)),
         n_used=n_used,
         n_excluded_zero_sigma=p.n - n_used,
     )
@@ -171,20 +177,25 @@ def adversarial_group_calibration(
 
     mean_worst = np.empty(fracs.size)
     std_err = np.empty(fracs.size)
+    # a trial's subgroup curves, one row each, whose areas are taken together;
+    # the rows are capped, so the subgroup count sizes time, not memory
+    observed = np.empty((min(subgroups, _AREA_ROWS), grid_size))
     for fi, size in enumerate(sizes):
         maxima = np.empty(trials)
         for t in range(trials):
             rng = seed.derive(fi, t).generator()
             worst = -np.inf
-            for _ in range(subgroups):
+            for g in range(subgroups):
                 idx = rng.choice(p.n, size=size, replace=False)
                 n_used = int(size) if all_used else int(np.count_nonzero(used[idx]))
                 if n_used < 2:
                     raise AllSigmaZeroError(
                         f"subgroup of size {size} has {n_used} usable points (sigma > 0)"
                     )
-                observed = _observed_proportions(bins[idx], n_used, grid_size)
-                worst = max(worst, _area_between(expected, observed))
+                row = g % len(observed)
+                observed[row] = _observed_proportions(bins[idx], n_used, grid_size)
+                if row == len(observed) - 1 or g == subgroups - 1:
+                    worst = max(worst, _area_between(expected, observed[: row + 1]).max())
             maxima[t] = worst
         mean_worst[fi] = maxima.mean()
         std_err[fi] = 0.0 if trials < 2 else float(np.std(maxima, ddof=1) / np.sqrt(trials))

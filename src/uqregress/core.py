@@ -42,18 +42,28 @@ def _mix(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
     return x
 
 
-def _chain(x: np.ndarray | np.uint64, indices, out: np.ndarray | None = None):
+def _link(index) -> np.ndarray | np.uint64:
+    """``mix(i + G)``: the value one index contributes to :func:`_chain`."""
+    with np.errstate(over="ignore"):
+        return _mix(np.asarray(index, dtype=np.uint64) + _GOLDEN)
+
+
+def _chain(x: np.ndarray | np.uint64, indices, out: np.ndarray | None = None, hashed: bool = False):
     """SplitMix64 hash chain from ``x``: ``x <- mix((x ^ mix(i + G)) + G)`` for
     each index ``i`` in turn (G the golden-ratio constant), a full-period
     64-bit mixer stable across platforms. Each index is hashed at its own
     shape; the chain broadcasts as it grows, so only the steps after the
-    widest index run on the full shape. A C-contiguous float64 ``out`` of the
-    final shape receives the last step's bits in place of a fresh array."""
+    widest index run on the full shape. A C-contiguous 8-byte ``out`` of the
+    final shape receives the last step's bits in place of a fresh array.
+
+    ``x`` may be the result of an earlier chain, which this one continues;
+    it is not modified. With ``hashed``, the indices are already
+    :func:`_link` values, so a caller can hash indices it reuses once."""
     with np.errstate(over="ignore"):
         for k, arr in enumerate(indices):
-            # the xor returns a fresh value (or fills out), which _mix may overwrite
-            h = _mix(np.asarray(arr, dtype=np.uint64) + _GOLDEN)
+            h = arr if hashed else _link(arr)
             last = out is not None and k == len(indices) - 1
+            # the xor returns a fresh value (or fills out), which _mix may overwrite
             x = np.bitwise_xor(x, h, out=out.view(np.uint64) if last else None)
             x += _GOLDEN
             x = _mix(x)
@@ -88,7 +98,8 @@ class RngSeed:
         return RngSeed(self.seed, int(_chain(np.uint64(self.stream_id), path)))
 
 
-def counter_uniform(seed: RngSeed, *index_arrays, out: np.ndarray | None = None) -> np.ndarray:
+def counter_uniform(seed: RngSeed, *index_arrays, out: np.ndarray | None = None,
+                    bits: bool = False) -> np.ndarray:
     """Stateless uniforms in [0, 1) indexed by integer coordinates.
 
     ``counter_uniform(seed, i, s, l, j)`` depends only on (seed, i, s, l, j),
@@ -97,8 +108,13 @@ def counter_uniform(seed: RngSeed, *index_arrays, out: np.ndarray | None = None)
     broadcast against each other; the result has their broadcast shape. A
     C-contiguous float64 ``out`` of that shape receives the uniforms in place
     of a fresh array, so a caller drawing many times can reuse one buffer.
+
+    With ``bits``, the result is the chain's raw uint64 hash, whose top 53
+    bits make the uniform; ``out`` is then a uint64 buffer.
     """
     x = _chain(np.uint64(seed.seed), (seed.stream_id, *index_arrays), out)
+    if bits:
+        return x if out is None else out
     x >>= _S11
     if not isinstance(x, np.ndarray):
         return np.float64(x) * 2.0**-53

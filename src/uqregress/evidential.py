@@ -25,8 +25,8 @@ ALPHA_FLOOR = 1.0 + 1e-6
 BETA_FLOOR = 1e-6
 
 
-def softplus(x):
-    return np.logaddexp(0.0, x)
+def softplus(x, out=None):
+    return np.logaddexp(0.0, x, out=out)
 
 
 @np.errstate(over="ignore")  # exp(-x) is inf below x of about -709, where the logistic is 0

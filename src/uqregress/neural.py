@@ -10,13 +10,14 @@ Parameters live in one float64 buffer, each gradient in one of the same layout.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import evidential as ev
-from .core import LabeledDataset, RngSeed, check_count, check_size, counter_uniform
+from .core import LabeledDataset, RngSeed, _chain, _link, check_count, check_size, counter_uniform
 from .errors import (
     DivergenceError,
     DomainError,
@@ -25,8 +26,10 @@ from .errors import (
     WrongHeadWidthError,
 )
 
+# (activation, its derivative); the activation takes an optional ``out``
 _ACTIVATIONS = {
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(np.float64)),
+    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out),
+             lambda z: (z > 0.0).astype(np.float64)),
     "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
     "softplus": (ev.softplus, ev.sigmoid),
 }
@@ -34,6 +37,27 @@ _ACTIVATIONS = {
 # stream namespaces under a training seed, so shuffling and masks never collide
 _SHUFFLE_NS = 1
 _MASK_NS = 2
+
+# a dropout mask reads one 16-bit lane of a counter hash per unit, four per hash
+_LANES = 4
+_LANE_VALUES = 65536
+
+
+def _drop_threshold(rate: float) -> int:
+    """t = round(rate * 65536): a unit is dropped when its 16-bit lane is
+    below t, so the realized drop rate is t / 65536."""
+    return round(rate * _LANE_VALUES)
+
+
+def check_dropout_rate(rate: float, what: str) -> None:
+    """``rate`` if it lies in [0, 0.5] and, when nonzero, drops some units;
+    otherwise a DomainError naming ``what``."""
+    if not 0.0 <= rate <= 0.5:  # NaN fails too
+        raise DomainError(f"{what} must be in [0, 0.5], got {rate}")
+    if rate > 0.0 and _drop_threshold(rate) == 0:
+        raise DomainError(
+            f"{what} {rate} would drop no unit: masks drop round(rate * 65536) / 65536 "
+            f"of them, which is 0 for a rate at or below 2**-17")
 
 
 @dataclass(frozen=True)
@@ -56,8 +80,7 @@ class MlpConfig:
             )
         if self.activation not in _ACTIVATIONS:
             raise DomainError(f"unknown activation {self.activation!r}")
-        if not 0.0 <= self.dropout_rate <= 0.5:
-            raise DomainError(f"dropout_rate must be in [0, 0.5], got {self.dropout_rate}")
+        check_dropout_rate(self.dropout_rate, "dropout_rate")
 
     @property
     def head(self) -> str:
@@ -137,40 +160,103 @@ class MlpModel:
 
 
 def _mask_index(m: MlpModel, points: int, sample: int) -> tuple[np.ndarray, ...]:
-    """Counter coordinates (point, sample, layer, unit) of one pass's dropout
-    masks; they broadcast to (hidden layers, points, widest hidden layer)."""
+    """Counter coordinates (point, sample, layer, unit // 4) of one pass's
+    dropout masks; they broadcast to (hidden layers, points, lane groups of
+    the widest hidden layer)."""
     hidden = m.config.layer_widths[1:-1]
     return (np.arange(points, dtype=np.uint64)[:, None], np.uint64(sample),
             np.arange(len(hidden), dtype=np.uint64)[:, None, None],
-            np.arange(max(hidden), dtype=np.uint64))
+            np.arange(-(-max(hidden) // _LANES), dtype=np.uint64))
 
 
-def _hidden_masks(m: MlpModel, u: np.ndarray, rate: float) -> list[np.ndarray]:
-    """Inverted-dropout masks of every hidden layer, written over the
-    uniforms ``u`` drawn at :func:`_mask_index`: a unit is kept when its
-    uniform is >= rate and then scaled by 1/(1-rate)."""
-    np.multiply(u >= rate, 1.0 / (1.0 - rate), out=u)
-    return [u[l, :, :w] for l, w in enumerate(m.config.layer_widths[1:-1])]
+def _lead(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading part of ``buffer`` as a C-contiguous array of ``shape``."""
+    return buffer.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
-def _forward_cached(m: MlpModel, X: np.ndarray, masks: list[np.ndarray] | None, start: int = 0):
+def _mask_buffers(m: MlpModel, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hashes, masks) buffers for the masks of up to ``points`` rows, the
+    hashes shaped as :func:`_mask_index` broadcasts; masks of fewer rows use
+    their leading parts."""
+    shape = np.broadcast_shapes(*map(np.shape, _mask_index(m, points, 0)))
+    return np.empty(shape, np.uint64), np.empty(_LANES * math.prod(shape))
+
+
+def _hidden_masks(m: MlpModel, h: np.ndarray, rate: float,
+                  out: np.ndarray | None = None) -> list[np.ndarray]:
+    """Inverted-dropout masks of every hidden layer from the hashes ``h``
+    drawn at :func:`_mask_index`. Unit j reads lane j % 4 of its hash,
+    ``(h >> 16 * (j % 4)) & 0xFFFF``; it is kept when that lane is >= t =
+    round(rate * 65536) and then scaled by 65536 / (65536 - t), so each mask
+    has mean 1 at the realized rate t / 65536. With ``out``, the mask buffer
+    of :func:`_mask_buffers`, the masks are written to its leading part."""
+    t = _drop_threshold(rate)
+    # "<u8" copies nothing on a little-endian machine; its bytes put lane k
+    # at position k of each hash's four uint16 on any machine
+    lanes = h.astype("<u8", copy=False).view("<u2")
+    masks = np.empty(lanes.shape) if out is None else _lead(out, lanes.shape)
+    np.greater_equal(lanes, t, out=masks)  # 1.0 where kept
+    masks *= _LANE_VALUES / (_LANE_VALUES - t)
+    return [masks[l, :, :w] for l, w in enumerate(m.config.layer_widths[1:-1])]
+
+
+class _StepMasks:
+    """The dropout masks of one :func:`train` call's steps: the hashes of
+    ``counter_uniform(epoch_seed, *_mask_index(m, rows, step), bits=True)``
+    through :func:`_hidden_masks`.
+
+    The chain over (seed, stream, batch row) runs once per epoch and the
+    step, layer and unit links are hashed once per call, so a step runs only
+    its own links; a ragged last batch takes the prefix's first rows. Every
+    step reuses one set of :func:`_mask_buffers`.
+    """
+
+    def __init__(self, m: MlpModel, rate: float, batch: int, steps: int) -> None:
+        rows, _, layers, groups = _mask_index(m, batch, 0)
+        self.m, self.rate, self.rows = m, rate, rows
+        self.step_links = _link(np.arange(steps, dtype=np.uint64))
+        self.links = _link(layers), _link(groups)
+        self.buffers = _mask_buffers(m, batch)
+        self.prefix = None
+
+    def start_epoch(self, seed: RngSeed) -> None:
+        self.prefix = _chain(np.uint64(seed.seed), (seed.stream_id, self.rows))
+
+    def hashes(self, step: int, rows: int) -> np.ndarray:
+        layers, _, groups = self.buffers[0].shape
+        out = _lead(self.buffers[0], (layers, rows, groups))
+        return _chain(self.prefix[:rows], (self.step_links[step], *self.links), out=out, hashed=True)
+
+    def masks(self, step: int, rows: int) -> list[np.ndarray]:
+        return _hidden_masks(self.m, self.hashes(step, rows), self.rate, self.buffers[1])
+
+
+def _forward_cached(m: MlpModel, X: np.ndarray, masks: list[np.ndarray] | None, start: int = 0,
+                    work: list[np.ndarray] | None = None):
     """Return (layer inputs, hidden pre-activations, raw output).
 
     With ``start`` > 0, X is the (masked) input of layer ``start`` and the
-    returned lists cover only the layers from there on.
+    returned lists cover only the layers from there on. With ``work``, one
+    (points, width) buffer per layer from ``start`` on, the pass allocates
+    nothing: each layer's pre-activation, then its activation, goes to its
+    buffer and the masked activation over its mask, so the returned
+    pre-activations hold activations.
     """
     act, _ = _ACTIVATIONS[m.config.activation]
     a = X
     layer_inputs = [X]
     pre_acts = []
     for l in range(start, m.n_layers - 1):
-        z = a @ m.weights[l] + m.biases[l]
+        buffer = None if work is None else work[l - start]
+        z = np.matmul(a, m.weights[l], out=buffer)
+        z += m.biases[l]
         pre_acts.append(z)
-        a = act(z)
+        a = act(z, out=buffer)
         if masks is not None:
-            a = a * masks[l]
+            a = np.multiply(a, masks[l], out=None if work is None else masks[l])
         layer_inputs.append(a)
-    raw = a @ m.weights[-1] + m.biases[-1]
+    raw = np.matmul(a, m.weights[-1], out=None if work is None else work[-1])
+    raw += m.biases[-1]
     return layer_inputs, pre_acts, raw
 
 
@@ -253,7 +339,8 @@ def loss_and_gradient(
     masks = None
     rate = m.config.dropout_rate
     if dropout_seed is not None and rate > 0.0:
-        masks = _hidden_masks(m, counter_uniform(dropout_seed, *_mask_index(m, batch.n, 0)), rate)
+        masks = _hidden_masks(
+            m, counter_uniform(dropout_seed, *_mask_index(m, batch.n, 0), bits=True), rate)
     loss, grad = _loss_and_grads(m, batch.features, batch.targets, batch.ids.__getitem__,
                                  reg_weight, masks)
     return loss, list(zip(*_layer_views(grad, m.config.layer_widths)))
@@ -274,6 +361,9 @@ def train(m: MlpModel, data: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel
         raise DomainError("training needs at least one row")
     history: list[float] = []
     rate = m.config.dropout_rate
+    draw = None
+    if rate > 0.0:
+        draw = _StepMasks(m, rate, min(cfg.batch_size, data.n), -(-data.n // cfg.batch_size))
 
     def sample_id(row: int) -> str:
         # row of the batch that starts at `start` in this epoch's `perm`
@@ -285,16 +375,14 @@ def train(m: MlpModel, data: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel
         for epoch in range(cfg.epochs):
             perm = cfg.seed.derive(_SHUFFLE_NS, epoch).generator().permutation(data.n)
             features, targets = data.features[perm], data.targets[perm]
-            mask_seed = cfg.seed.derive(_MASK_NS, epoch)
+            if draw is not None:
+                draw.start_epoch(cfg.seed.derive(_MASK_NS, epoch))
             lr = cfg.learning_rate / (1.0 + cfg.lr_decay * epoch)
             epoch_loss = 0.0
             for step, start in enumerate(range(0, data.n, cfg.batch_size)):
                 X = features[start : start + cfg.batch_size]
                 y = targets[start : start + cfg.batch_size]
-                masks = None
-                if rate > 0.0:
-                    masks = _hidden_masks(m, counter_uniform(mask_seed, *_mask_index(m, len(y), step)),
-                                          rate)
+                masks = None if draw is None else draw.masks(step, len(y))
                 loss, grad = _loss_and_grads(m, X, y, sample_id, cfg.reg_weight, masks)
                 m.params -= lr * grad
                 if not np.isfinite(m.params).all():

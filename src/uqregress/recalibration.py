@@ -90,7 +90,7 @@ def fit_scalar(
         if not np.isfinite(sigma_max * s):  # overflowed: raise what validation raises
             validate_prediction_set(p.with_sigma(p.sigma * s))
         observed = np.searchsorted(z_sorted, s * q, side="right") / z_sorted.size
-        return _area_between(expected, observed)
+        return float(_area_between(expected, observed))
 
     t_lo, t_hi = float(np.log(bracket_lo)), float(np.log(bracket_hi))
     scan_t = np.linspace(t_lo, t_hi, PRESCAN_POINTS)

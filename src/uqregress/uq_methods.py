@@ -17,8 +17,8 @@ from . import evidential as ev
 from .core import (LabeledDataset, PredictionSet, RngSeed, check_count, counter_uniform,
                    split_k_folds)
 from .errors import DomainError, FoldTooSmallError, WrongHeadWidthError
-from .neural import (MlpConfig, MlpModel, TrainConfig, _forward_cached, _hidden_masks, _mask_index,
-                     predict, train)
+from .neural import (MlpConfig, MlpModel, TrainConfig, _forward_cached, _hidden_masks,
+                     _mask_buffers, _mask_index, check_dropout_rate, predict, train)
 
 MEMBER_TRAINING_MODES = ("one_fold_each", "leave_one_fold_out")
 EVIDENTIAL_CHANNELS = ("epistemic", "aleatoric")  # the sigma evidential_predict can report
@@ -59,8 +59,7 @@ class DropoutSpec:
 
     def __post_init__(self) -> None:
         check_count(self.samples, "samples", 2)  # a std needs two draws
-        if not 0.0 <= self.rate <= 0.5:
-            raise DomainError(f"dropout rate must be in [0, 0.5], got {self.rate}")
+        check_dropout_rate(self.rate, "dropout rate")
 
 
 def train_kfold_members(train_data: LabeledDataset, spec: EnsembleSpec) -> list[MlpModel]:
@@ -101,20 +100,22 @@ def ensemble_predict(members: list[MlpModel], test: LabeledDataset) -> Predictio
 
 
 def _mc_forward(m: MlpModel, hidden0: np.ndarray, rate: float, seed: RngSeed, sample: int,
-                work: np.ndarray) -> np.ndarray:
+                buffers: tuple, work: list[np.ndarray]) -> np.ndarray:
     """One stochastic pass from the first hidden activation, which no mask
     precedes. The masks are training's (:func:`neural._hidden_masks`), keyed
-    by (point index, sample index, layer, unit), so results do not depend on
-    evaluation order or batching; one counter call covers every hidden layer.
+    by (point index, sample index, layer, unit // 4), so results do not depend
+    on evaluation order or batching; one counter call covers every hidden
+    layer.
 
-    ``work`` is a (layers, points, widest layer) float64 buffer that every
-    pass reuses for its masks: fresh full-shape arrays each pass cost more
+    Every pass reuses the mask ``buffers`` (:func:`neural._mask_buffers`) and
+    the layers' ``work`` buffers: fresh full-shape arrays each pass cost more
     in page faults than in arithmetic.
     """
-    u = counter_uniform(seed, *_mask_index(m, work.shape[1], sample), out=work)
-    masks = _hidden_masks(m, u, rate)
+    h = counter_uniform(seed, *_mask_index(m, hidden0.shape[0], sample), out=buffers[0], bits=True)
+    masks = _hidden_masks(m, h, rate, buffers[1])
     # layer 0's mask is used once, so its slot takes the masked activation
-    return _forward_cached(m, np.multiply(hidden0, masks[0], out=masks[0]), masks, start=1)[2][:, 0]
+    a = np.multiply(hidden0, masks[0], out=masks[0])
+    return _forward_cached(m, a, masks, start=1, work=work)[2][:, 0]
 
 
 def mc_dropout_predict(m: MlpModel, test: LabeledDataset, spec: DropoutSpec) -> PredictionSet:
@@ -129,14 +130,15 @@ def mc_dropout_predict(m: MlpModel, test: LabeledDataset, spec: DropoutSpec) -> 
         mu = predict(m, test.features)[:, 0]
         return PredictionSet(test.ids, test.targets, mu, np.zeros(test.n), test.groups)
     hidden0 = _forward_cached(m, test.features, None)[0][1]  # the same in every pass
-    hidden = m.config.layer_widths[1:-1]
-    work = np.empty((len(hidden), test.n, max(hidden)))
+    buffers = _mask_buffers(m, test.n)
+    work = [np.empty((test.n, w)) for w in m.config.layer_widths[2:]]
     total = np.zeros(test.n)
     total_sq = np.zeros(test.n)
+    square = np.empty(test.n)
     for s in range(spec.samples):
-        out = _mc_forward(m, hidden0, spec.rate, spec.seed, s, work)
+        out = _mc_forward(m, hidden0, spec.rate, spec.seed, s, buffers, work)
         total += out
-        total_sq += out * out
+        total_sq += np.multiply(out, out, out=square)
     mu = total / spec.samples
     var = np.maximum(total_sq - spec.samples * mu * mu, 0.0) / (spec.samples - 1)
     return PredictionSet(test.ids, test.targets, mu, np.sqrt(var), test.groups)

@@ -1,9 +1,10 @@
 """Reference dropout-mask counter: SplitMix64 as it stood before hashing each
-index at its own shape, a pure-Python-int SplitMix64, and the MC-dropout
-pass loop built on the old counter.
+index at its own shape, a pure-Python-int SplitMix64, and an MC-dropout pass
+loop built on the old counter with 16-bit lane masks in shift form.
 
 ``uqregress.core.counter_uniform`` must equal ``counter_uniform`` here bit for
-bit, and ``mc_dropout_predict`` must equal ``mc_dropout_reference``.
+bit (and, with ``bits=True``, ``counter_bits``), and ``mc_dropout_predict``
+must equal ``mc_dropout_reference``.
 """
 
 from __future__ import annotations
@@ -25,13 +26,30 @@ def _splitmix64(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
         return x ^ (x >> np.uint64(31))
 
 
-def counter_uniform(seed: RngSeed, *index_arrays) -> np.ndarray:
+def counter_bits(seed: RngSeed, *index_arrays) -> np.ndarray:
     """Broadcast every index to the full shape first, then hash."""
     shaped = np.broadcast_arrays(*[np.asarray(a, dtype=np.uint64) for a in index_arrays])
     x = _splitmix64(np.uint64(seed.seed) ^ _splitmix64(np.uint64(seed.stream_id)))
     for arr in shaped:
         x = _splitmix64(x ^ _splitmix64(arr))
-    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return x
+
+
+def counter_uniform(seed: RngSeed, *index_arrays) -> np.ndarray:
+    """The top 53 bits of :func:`counter_bits` as a uniform in [0, 1)."""
+    return (counter_bits(seed, *index_arrays) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def lane_mask(seed: RngSeed, rate: float, *index_arrays, width: int) -> np.ndarray:
+    """Inverted-dropout mask of ``width`` units keyed by (*index_arrays, unit):
+    unit j reads bits 16·(j % 4) .. 16·(j % 4) + 15 of the hash of
+    (*index_arrays, j // 4), is kept when they are >= t = round(rate · 65536),
+    and is then scaled by 65536 / (65536 - t)."""
+    t = round(rate * 65536)
+    j = np.arange(width, dtype=np.uint64)
+    h = counter_bits(seed, *index_arrays, j // np.uint64(4))
+    lanes = (h >> (np.uint64(16) * (j % np.uint64(4)))) & np.uint64(0xFFFF)
+    return (lanes >= t).astype(np.float64) * (65536 / (65536 - t))
 
 
 def splitmix64_int(x: int) -> int:
@@ -52,9 +70,9 @@ def counter_uniform_int(seed: RngSeed, *indices: int) -> float:
 
 def mc_dropout_reference(m: MlpModel, X: np.ndarray, rate: float, seed: RngSeed,
                          samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """(mu, sigma) of ``samples`` dropout passes with masks from the old counter."""
+    """(mu, sigma) of ``samples`` dropout passes with lane masks from the old
+    counter, one counter call per layer."""
     act, _ = _ACTIVATIONS[m.config.activation]
-    keep = 1.0 - rate
     point_ix = np.arange(X.shape[0], dtype=np.uint64)[:, None]
     total = np.zeros(X.shape[0])
     total_sq = np.zeros(X.shape[0])
@@ -62,9 +80,7 @@ def mc_dropout_reference(m: MlpModel, X: np.ndarray, rate: float, seed: RngSeed,
         a = X
         for l in range(m.n_layers - 1):
             h = act(a @ m.weights[l] + m.biases[l])
-            unit_ix = np.arange(h.shape[1], dtype=np.uint64)[None, :]
-            u = counter_uniform(seed, point_ix, np.uint64(s), np.uint64(l), unit_ix)
-            a = h * ((u >= rate).astype(np.float64) / keep)
+            a = h * lane_mask(seed, rate, point_ix, np.uint64(s), np.uint64(l), width=h.shape[1])
         out = (a @ m.weights[-1] + m.biases[-1])[:, 0]
         total += out
         total_sq += out * out

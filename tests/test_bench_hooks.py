@@ -68,3 +68,27 @@ def test_evaluation_layers_reach_the_tracer():
     assert tracer.counters["calibration.adversarial_subgroups"] == 2 * 2 * 3
     assert tracer.counters["recalibration.curve_evals"] == 1
     assert tracer.counters["numerics.brent_iterations"] == fit.brent.iterations > 0
+
+
+def test_each_dropout_pass_reaches_the_tracer():
+    # core.counter_uniform_calls and uq_methods.dropout_passes count one per pass
+    from collections import Counter
+
+    import numpy as np
+
+    from uqregress.core import LabeledDataset, RngSeed
+    from uqregress.neural import MlpConfig, MlpModel
+    from uqregress.uq_methods import DropoutSpec
+
+    m = MlpModel.initialize(MlpConfig((2, 8, 1), dropout_rate=0.1, seed=RngSeed(1)))
+    test = LabeledDataset(("a", "b", "c"), np.ones((3, 2)), np.zeros(3))
+    tracer = tracing.Tracer()
+    installed = tracing.install(tracer)
+    try:
+        _module("cli").mc_dropout_predict(m, test, DropoutSpec(samples=5, rate=0.1))
+    finally:
+        tracing.uninstall(installed)
+    spans = Counter(span[0] for span in tracer.spans)
+    assert spans["uq_methods.mc_dropout_predict"] == 1
+    assert spans["core.counter_uniform"] == 5
+    assert tracer.counters["uq_methods.dropout_passes"] == 5

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqregress.calibration import (
     _area_between,
@@ -99,6 +101,17 @@ class TestMiscalibrationArea:
             e = np.arange(1, gs + 1) / (gs + 1)
             obs = np.sort(rng.uniform(0, 1, gs))
             assert 0.0 <= _area_between(e, obs) <= 0.5
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(1, 12), grid_size=st.integers(1, 120), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_curves_match_one_curve_at_a_time(self, rows, grid_size, seed):
+        # the adversarial sweep takes a trial's areas in one call
+        rng = np.random.default_rng(seed)
+        e = np.arange(1, grid_size + 1) / (grid_size + 1)
+        obs = np.cumsum(rng.integers(0, 5, (rows, grid_size)), axis=1) / rng.integers(1, 500)
+        stacked = _area_between(e, obs)
+        assert stacked.shape == (rows,)
+        assert stacked.tobytes() == np.array([_area_between(e, o) for o in obs]).tobytes()
 
 
 class TestAdversarialGroupCalibration:

@@ -203,6 +203,16 @@ class TestEvaluate:
             "p.csv", "report.json", "report.json.manifest.json", "report.violin.csv",
             "report.violin.csv.manifest.json"]
 
+    @pytest.mark.parametrize("sigmas", ["0,0,0", "0,0.7,0.4"], ids=["no_curve", "curve"])
+    def test_grid_size_zero_is_refused_whatever_the_data(self, tmp_path, capsys, sigmas):
+        # the grid is checked before the rows: with or without a curve, exit 1
+        pred = tmp_path / "p.csv"
+        s = sigmas.split(",")
+        pred.write_text(f"id,y_true,y_pred,sigma\na,1,0,{s[0]}\nb,0.5,0.1,{s[1]}\nc,-0.3,0.2,{s[2]}\n")
+        assert run("evaluate", "--pred", pred, "--out", tmp_path / "r.json", "--grid-size", 0) == 1
+        _one_error_line(capsys, "grid_size must be >= 1, got 0")
+        assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
+
     @pytest.mark.parametrize("sigmas", [("0.5", "0.5", "0.5"), ("1e308", "1.7e308", "1.5e308")],
                              ids=["equal", "overflowing_spread"])
     def test_sigmas_without_a_bandwidth_report_a_degenerate_sample(self, tmp_path, sigmas):
@@ -661,6 +671,17 @@ class TestUnwritableInputs:
         assert run(command, *files.get(command, ["--pred", workspace["preds"]["ensemble"],
                                                  "--out", tmp_path / "r.json"]), *flags) == 1
         _one_error_line(capsys, needle)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, flag", [("train", "--dropout-rate"), ("predict", "--rate")])
+    def test_rate_that_drops_no_unit_is_one_error_line(self, workspace, tmp_path, capsys, command,
+                                                      flag):
+        # a mask unit is dropped when its 16-bit lane is below round(rate * 65536)
+        files = {"train": ["--train", workspace["data"] / "train.csv", "--out", tmp_path / "m.json"],
+                 "predict": ["--model", workspace["models"]["dropout"],
+                             "--test", workspace["data"] / "test.csv", "--out", tmp_path / "p.csv"]}
+        assert run(command, "--method", "dropout", *files[command], flag, 1e-6) == 1
+        _one_error_line(capsys, "1e-06 would drop no unit")
         assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_config_value_names_the_flag(self, workspace, tmp_path, capsys):

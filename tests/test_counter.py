@@ -77,6 +77,19 @@ class TestCounterUniform:
         assert RngSeed(0, x).derive(*path).stream_id == want
         assert RngSeed(0, x).derive(*(i - 2**64 for i in path)).stream_id == want
 
+    @SETTINGS
+    @given(seed=seeds, indices=index_sets())
+    def test_bits_match_the_reference_chain(self, seed, indices):
+        # the raw hash the lane masks read; its top 53 bits are the uniform
+        got = counter_uniform(seed, *indices, bits=True)
+        assert np.shape(got) == np.shape(ref.counter_bits(seed, *indices))
+        assert np.array_equal(got, ref.counter_bits(seed, *indices))
+        assert np.array_equal((got >> np.uint64(11)) * 2.0**-53, counter_uniform(seed, *indices))
+        if np.ndim(got):
+            buf = np.zeros(np.shape(got), np.uint64)
+            assert counter_uniform(seed, *indices, out=buf, bits=True) is buf
+            assert np.array_equal(buf, got)
+
     def test_dropout_shaped_call_matches(self):
         seed = RngSeed(2**64 - 1, 2**64 - 1)
         points = np.arange(300, dtype=np.uint64)[:, None]
@@ -111,7 +124,7 @@ class TestMcDropoutAgainstReference:
     @pytest.mark.parametrize("widths", [(3, 16, 48, 8, 1), (3, 7, 1)])
     def test_unequal_and_single_hidden_widths(self, widths, rate, activation):
         # one counter call covers every layer at the widest width; each
-        # narrower layer must still see exactly its own units' uniforms
+        # narrower layer must still see exactly its own units' lanes
         X = np.random.default_rng(20).normal(size=(30, 3))
         test = dataset_from(X, np.zeros(30))
         m = MlpModel.initialize(MlpConfig(widths, activation=activation,

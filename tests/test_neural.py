@@ -24,6 +24,7 @@ from uqregress.neural import (
     _forward_cached,
     _hidden_masks,
     _mask_index,
+    _StepMasks,
     loss_and_gradient,
     predict,
     train,
@@ -245,9 +246,65 @@ class TestDropoutExpectation:
         expected = predict(m, x[None, :])[0, 0]
         n_masks = 100_000
         X = np.tile(x, (n_masks, 1))
-        masks = _hidden_masks(m, counter_uniform(RngSeed(17), *_mask_index(m, n_masks, 0)), 0.3)
+        masks = _hidden_masks(m, counter_uniform(RngSeed(17), *_mask_index(m, n_masks, 0), bits=True),
+                              0.3)
         _, _, raw = _forward_cached(m, X, masks)
         assert abs(raw[:, 0].mean() - expected) / expected < 0.01
+
+
+class TestLaneMasks:
+    """Unit j of a mask reads 16-bit lane j % 4 of the hash of unit j // 4."""
+
+    @pytest.mark.parametrize("widths", [(3, 16, 8, 1), (2, 7, 13, 5, 1), (2, 1, 1)])
+    @pytest.mark.parametrize("rate", [0.05, 0.3, 0.5])
+    def test_unit_reads_its_lane_in_shift_form(self, widths, rate):
+        m = MlpModel(MlpConfig(widths, dropout_rate=rate))
+        h = counter_uniform(RngSeed(23, 4), *_mask_index(m, 9, 7), bits=True)
+        assert h.dtype == np.uint64 and h.shape == (len(widths) - 2, 9, -(-max(widths[1:-1]) // 4))
+        t = round(rate * 65536)
+        for l, (mask, w) in enumerate(zip(_hidden_masks(m, h, rate), widths[1:-1])):
+            j = np.arange(w, dtype=np.uint64)
+            shift = np.uint64(16) * (j % np.uint64(4))
+            lanes = (h[l][:, j // np.uint64(4)] >> shift) & np.uint64(0xFFFF)
+            assert np.array_equal(mask, np.where(lanes >= t, 65536 / (65536 - t), 0.0))
+
+    @pytest.mark.parametrize("rate", [0.05, 0.1, 0.3, 0.5])
+    def test_mask_mean_is_one_over_every_lane_value(self, rate):
+        m = MlpModel(MlpConfig((1, 65536, 1), dropout_rate=rate))
+        h = np.arange(65536, dtype="<u2").view("<u8").reshape(1, 1, 16384)
+        (mask,) = _hidden_masks(m, h, rate)
+        # unit j reads lane value j; t of the 65536 are dropped
+        t = round(rate * 65536)
+        assert np.array_equal(mask[0], np.where(np.arange(65536) >= t, 65536 / (65536 - t), 0.0))
+        assert abs(mask.mean() - 1.0) <= 2 * np.spacing(1.0)
+
+    @pytest.mark.parametrize("rate", [1e-6, 2.0**-17, 2.0**-20])
+    def test_rate_that_drops_no_unit_is_refused(self, rate):
+        with pytest.raises(DomainError, match=f"dropout_rate {rate} would drop no unit"):
+            MlpConfig((2, 4, 1), dropout_rate=rate)
+
+    def test_smallest_rate_that_drops_a_unit(self):
+        rate = float(np.nextafter(2.0**-17, 1.0))
+        m = MlpModel(MlpConfig((1, 65536, 1), dropout_rate=rate))
+        h = np.arange(65536, dtype="<u2").view("<u8").reshape(1, 1, 16384)
+        assert np.count_nonzero(_hidden_masks(m, h, rate)[0] == 0.0) == 1
+
+    @pytest.mark.parametrize("widths", [(3, 16, 8, 1), (3, 7, 1)])
+    def test_hoisted_training_hashes_equal_the_counter(self, widths):
+        # 70 rows in batches of 32: steps 0 and 1 are full, step 2 is ragged
+        m = MlpModel(MlpConfig(widths, dropout_rate=0.1))
+        draw = _StepMasks(m, 0.1, 32, 3)
+        for epoch_seed in (RngSeed(5).derive(2, 0), RngSeed(5).derive(2, 1)):
+            draw.start_epoch(epoch_seed)
+            for step, rows in ((0, 32), (1, 32), (2, 6)):
+                layers = np.arange(len(widths) - 2)[:, None, None]
+                units4 = np.arange(-(-max(widths[1:-1]) // 4))
+                want = counter_uniform(epoch_seed, np.arange(rows)[:, None], step, layers, units4,
+                                       bits=True)
+                got = draw.hashes(step, rows)
+                assert got.dtype == np.uint64 and np.array_equal(got, want)
+                for a, b in zip(draw.masks(step, rows), _hidden_masks(m, want, 0.1)):
+                    assert np.array_equal(a, b)
 
 
 class TestTrain:

@@ -18,6 +18,7 @@ from uqregress.uq_methods import (
     train_kfold_members,
 )
 
+from test_cold_start import run_fresh
 from test_neural import dataset_from, pinned_head_model
 
 
@@ -180,6 +181,28 @@ class TestMcDropout:
         expected = predict(m, X)[:, 0]
         assert np.max(np.abs(p.mu - expected) / expected) < 0.01
 
+    def test_passes_reuse_their_buffers(self):
+        # a pass that allocated its (points x width) arrays made glibc return
+        # and re-fault heap pages every pass, about 340 minor faults each
+        pytest.importorskip("resource")
+        faults = run_fresh(
+            "import json, resource\n"
+            "import numpy as np\n"
+            "from uqregress.core import LabeledDataset, RngSeed\n"
+            "from uqregress.neural import MlpConfig, MlpModel\n"
+            "from uqregress.uq_methods import DropoutSpec, mc_dropout_predict\n"
+            "X = np.random.default_rng(0).normal(size=(2000, 4))\n"
+            "test = LabeledDataset(tuple(map(str, range(2000))), X, np.zeros(2000))\n"
+            "m = MlpModel.initialize(MlpConfig((4, 32, 32, 1), dropout_rate=0.05, seed=RngSeed(1)))\n"
+            "def faults(samples):\n"
+            "    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    mc_dropout_predict(m, test, DropoutSpec(samples, 0.05, RngSeed(2)))\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0\n"
+            "faults(2)\n"
+            "print(json.dumps([faults(2), faults(202)]))\n")
+        # the 200 extra passes, net of what any call costs once
+        assert (faults[1] - faults[0]) / 200 < 5, faults
+
     def test_needs_regression_head(self):
         _, test = synthetic_pair()
         m = MlpModel.initialize(MlpConfig((2, 4, 4), seed=RngSeed(17)))
@@ -191,6 +214,12 @@ class TestMcDropout:
             DropoutSpec(samples=1, rate=0.1)
         with pytest.raises(DomainError):
             DropoutSpec(samples=10, rate=0.6)
+
+    @pytest.mark.parametrize("rate", [1e-6, 2.0**-17])
+    def test_spec_refuses_a_rate_that_drops_no_unit(self, rate):
+        # masks drop round(rate * 65536) / 65536 of the units, here none
+        with pytest.raises(DomainError, match=f"dropout rate {rate} would drop no unit"):
+            DropoutSpec(samples=10, rate=rate)
 
 
 class TestEvidentialOps:

@@ -2,7 +2,7 @@
 was slimmed.
 
 Each step gathers its batch by fancy indexing, builds the batch's id tuple,
-draws each hidden layer's dropout mask with its own counter call, replaces
+draws each hidden layer's 16-bit lane dropout mask with its own counter call, replaces
 every weight and bias with a fresh array, and checks each layer for non-finite
 values on its own. The forward and backward passes are the ones that loop
 ran (bias gradients by ``mean``), and the evidential head's gradient is
@@ -21,13 +21,18 @@ from uqregress.neural import _ACTIVATIONS, _MASK_NS, _SHUFFLE_NS, MlpModel, Trai
 
 
 def _masks(m: MlpModel, seed, step: int, n: int) -> list[np.ndarray]:
-    """Each hidden layer's mask keyed by (batch row, step, layer, unit)."""
+    """Each hidden layer's mask keyed by (batch row, step, layer, unit // 4):
+    unit j is kept when bits 16·(j % 4) onward of its hash, as a 16-bit
+    value, are >= t = round(rate · 65536), and is scaled by 65536 / (65536 - t)."""
     rate = m.config.dropout_rate
+    t = round(rate * 65536)
     rows = np.arange(n, dtype=np.uint64)[:, None]
     masks = []
     for l, w in enumerate(m.config.layer_widths[1:-1]):
-        u = counter_uniform(seed, rows, np.uint64(step), np.uint64(l), np.arange(w, dtype=np.uint64))
-        masks.append((u >= rate).astype(np.float64) / (1.0 - rate))
+        j = np.arange(w, dtype=np.uint64)
+        h = counter_uniform(seed, rows, np.uint64(step), np.uint64(l), j // np.uint64(4), bits=True)
+        lanes = (h >> (np.uint64(16) * (j % np.uint64(4)))) & np.uint64(0xFFFF)
+        masks.append((lanes >= t).astype(np.float64) * (65536 / (65536 - t)))
     return masks
 
 
