@@ -26,7 +26,7 @@ from .errors import (
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_S30, _S27, _S31, _S11 = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11)
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
 def _mix(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
@@ -48,23 +48,20 @@ def _link(index) -> np.ndarray | np.uint64:
         return _mix(np.asarray(index, dtype=np.uint64) + _GOLDEN)
 
 
-def _chain(x: np.ndarray | np.uint64, indices, out: np.ndarray | None = None, hashed: bool = False):
+def _chain(x: np.ndarray | np.uint64, indices, hashed: bool = False):
     """SplitMix64 hash chain from ``x``: ``x <- mix((x ^ mix(i + G)) + G)`` for
     each index ``i`` in turn (G the golden-ratio constant), a full-period
     64-bit mixer stable across platforms. Each index is hashed at its own
     shape; the chain broadcasts as it grows, so only the steps after the
-    widest index run on the full shape. A C-contiguous 8-byte ``out`` of the
-    final shape receives the last step's bits in place of a fresh array.
+    widest index run on the full shape.
 
     ``x`` may be the result of an earlier chain, which this one continues;
     it is not modified. With ``hashed``, the indices are already
     :func:`_link` values, so a caller can hash indices it reuses once."""
     with np.errstate(over="ignore"):
-        for k, arr in enumerate(indices):
+        for arr in indices:
             h = arr if hashed else _link(arr)
-            last = out is not None and k == len(indices) - 1
-            # the xor returns a fresh value (or fills out), which _mix may overwrite
-            x = np.bitwise_xor(x, h, out=out.view(np.uint64) if last else None)
+            x = x ^ h  # a fresh value, which _mix may overwrite
             x += _GOLDEN
             x = _mix(x)
     return x
@@ -98,29 +95,16 @@ class RngSeed:
         return RngSeed(self.seed, int(_chain(np.uint64(self.stream_id), path)))
 
 
-def counter_uniform(seed: RngSeed, *index_arrays, out: np.ndarray | None = None,
-                    bits: bool = False) -> np.ndarray:
-    """Stateless uniforms in [0, 1) indexed by integer coordinates.
+def counter_uniform(seed: RngSeed, *index_arrays) -> np.ndarray:
+    """Stateless uniform 64-bit hashes indexed by integer coordinates.
 
     ``counter_uniform(seed, i, s, l, j)`` depends only on (seed, i, s, l, j),
     never on evaluation order or array layout, which makes per-(point, sample)
     dropout masks reproducible under any parallel schedule. Index arrays are
-    broadcast against each other; the result has their broadcast shape. A
-    C-contiguous float64 ``out`` of that shape receives the uniforms in place
-    of a fresh array, so a caller drawing many times can reuse one buffer.
-
-    With ``bits``, the result is the chain's raw uint64 hash, whose top 53
-    bits make the uniform; ``out`` is then a uint64 buffer.
+    broadcast against each other; the result is the uint64 :func:`_chain`
+    hash at their broadcast shape.
     """
-    x = _chain(np.uint64(seed.seed), (seed.stream_id, *index_arrays), out)
-    if bits:
-        return x if out is None else out
-    x >>= _S11
-    if not isinstance(x, np.ndarray):
-        return np.float64(x) * 2.0**-53
-    # convert the chain's own array in place: a second full-shape array costs
-    # an allocation, and page faults each time the heap gives it back
-    return np.multiply(x, 2.0**-53, out=x.view(np.float64) if out is None else out)
+    return _chain(np.uint64(seed.seed), (seed.stream_id, *index_arrays))
 
 
 # the most float64 values one numpy array can hold: its byte count must fit an intp

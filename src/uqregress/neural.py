@@ -10,7 +10,6 @@ Parameters live in one float64 buffer, each gradient in one of the same layout.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -169,32 +168,17 @@ def _mask_index(m: MlpModel, points: int, sample: int) -> tuple[np.ndarray, ...]
             np.arange(-(-max(hidden) // _LANES), dtype=np.uint64))
 
 
-def _lead(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The leading part of ``buffer`` as a C-contiguous array of ``shape``."""
-    return buffer.reshape(-1)[: math.prod(shape)].reshape(shape)
-
-
-def _mask_buffers(m: MlpModel, points: int) -> tuple[np.ndarray, np.ndarray]:
-    """(hashes, masks) buffers for the masks of up to ``points`` rows, the
-    hashes shaped as :func:`_mask_index` broadcasts; masks of fewer rows use
-    their leading parts."""
-    shape = np.broadcast_shapes(*map(np.shape, _mask_index(m, points, 0)))
-    return np.empty(shape, np.uint64), np.empty(_LANES * math.prod(shape))
-
-
-def _hidden_masks(m: MlpModel, h: np.ndarray, rate: float,
-                  out: np.ndarray | None = None) -> list[np.ndarray]:
+def _hidden_masks(m: MlpModel, h: np.ndarray, rate: float) -> list[np.ndarray]:
     """Inverted-dropout masks of every hidden layer from the hashes ``h``
     drawn at :func:`_mask_index`. Unit j reads lane j % 4 of its hash,
     ``(h >> 16 * (j % 4)) & 0xFFFF``; it is kept when that lane is >= t =
     round(rate * 65536) and then scaled by 65536 / (65536 - t), so each mask
-    has mean 1 at the realized rate t / 65536. With ``out``, the mask buffer
-    of :func:`_mask_buffers`, the masks are written to its leading part."""
+    has mean 1 at the realized rate t / 65536."""
     t = _drop_threshold(rate)
     # "<u8" copies nothing on a little-endian machine; its bytes put lane k
     # at position k of each hash's four uint16 on any machine
     lanes = h.astype("<u8", copy=False).view("<u2")
-    masks = np.empty(lanes.shape) if out is None else _lead(out, lanes.shape)
+    masks = np.empty(lanes.shape)
     np.greater_equal(lanes, t, out=masks)  # 1.0 where kept
     masks *= _LANE_VALUES / (_LANE_VALUES - t)
     return [masks[l, :, :w] for l, w in enumerate(m.config.layer_widths[1:-1])]
@@ -202,13 +186,12 @@ def _hidden_masks(m: MlpModel, h: np.ndarray, rate: float,
 
 class _StepMasks:
     """The dropout masks of one :func:`train` call's steps: the hashes of
-    ``counter_uniform(epoch_seed, *_mask_index(m, rows, step), bits=True)``
+    ``counter_uniform(epoch_seed, *_mask_index(m, rows, step))``
     through :func:`_hidden_masks`.
 
     The chain over (seed, stream, batch row) runs once per epoch and the
     step, layer and unit links are hashed once per call, so a step runs only
-    its own links; a ragged last batch takes the prefix's first rows. Every
-    step reuses one set of :func:`_mask_buffers`.
+    its own links; a ragged last batch takes the prefix's first rows.
     """
 
     def __init__(self, m: MlpModel, rate: float, batch: int, steps: int) -> None:
@@ -216,19 +199,16 @@ class _StepMasks:
         self.m, self.rate, self.rows = m, rate, rows
         self.step_links = _link(np.arange(steps, dtype=np.uint64))
         self.links = _link(layers), _link(groups)
-        self.buffers = _mask_buffers(m, batch)
         self.prefix = None
 
     def start_epoch(self, seed: RngSeed) -> None:
         self.prefix = _chain(np.uint64(seed.seed), (seed.stream_id, self.rows))
 
     def hashes(self, step: int, rows: int) -> np.ndarray:
-        layers, _, groups = self.buffers[0].shape
-        out = _lead(self.buffers[0], (layers, rows, groups))
-        return _chain(self.prefix[:rows], (self.step_links[step], *self.links), out=out, hashed=True)
+        return _chain(self.prefix[:rows], (self.step_links[step], *self.links), hashed=True)
 
     def masks(self, step: int, rows: int) -> list[np.ndarray]:
-        return _hidden_masks(self.m, self.hashes(step, rows), self.rate, self.buffers[1])
+        return _hidden_masks(self.m, self.hashes(step, rows), self.rate)
 
 
 def _forward_cached(m: MlpModel, X: np.ndarray, masks: list[np.ndarray] | None, start: int = 0,
@@ -340,7 +320,7 @@ def loss_and_gradient(
     rate = m.config.dropout_rate
     if dropout_seed is not None and rate > 0.0:
         masks = _hidden_masks(
-            m, counter_uniform(dropout_seed, *_mask_index(m, batch.n, 0), bits=True), rate)
+            m, counter_uniform(dropout_seed, *_mask_index(m, batch.n, 0)), rate)
     loss, grad = _loss_and_grads(m, batch.features, batch.targets, batch.ids.__getitem__,
                                  reg_weight, masks)
     return loss, list(zip(*_layer_views(grad, m.config.layer_widths)))

@@ -18,7 +18,7 @@ from .core import (LabeledDataset, PredictionSet, RngSeed, check_count, counter_
                    split_k_folds)
 from .errors import DomainError, FoldTooSmallError, WrongHeadWidthError
 from .neural import (MlpConfig, MlpModel, TrainConfig, _forward_cached, _hidden_masks,
-                     _mask_buffers, _mask_index, check_dropout_rate, predict, train)
+                     _mask_index, check_dropout_rate, predict, train)
 
 MEMBER_TRAINING_MODES = ("one_fold_each", "leave_one_fold_out")
 EVIDENTIAL_CHANNELS = ("epistemic", "aleatoric")  # the sigma evidential_predict can report
@@ -100,19 +100,19 @@ def ensemble_predict(members: list[MlpModel], test: LabeledDataset) -> Predictio
 
 
 def _mc_forward(m: MlpModel, hidden0: np.ndarray, rate: float, seed: RngSeed, sample: int,
-                buffers: tuple, work: list[np.ndarray]) -> np.ndarray:
+                work: list[np.ndarray]) -> np.ndarray:
     """One stochastic pass from the first hidden activation, which no mask
     precedes. The masks are training's (:func:`neural._hidden_masks`), keyed
     by (point index, sample index, layer, unit // 4), so results do not depend
     on evaluation order or batching; one counter call covers every hidden
     layer.
 
-    Every pass reuses the mask ``buffers`` (:func:`neural._mask_buffers`) and
-    the layers' ``work`` buffers: fresh full-shape arrays each pass cost more
-    in page faults than in arithmetic.
+    Every pass writes its layers into the ``work`` buffers: fresh
+    (points, width) arrays each pass made the heap shrink and grow again,
+    which cost more in page faults than the arithmetic.
     """
-    h = counter_uniform(seed, *_mask_index(m, hidden0.shape[0], sample), out=buffers[0], bits=True)
-    masks = _hidden_masks(m, h, rate, buffers[1])
+    h = counter_uniform(seed, *_mask_index(m, hidden0.shape[0], sample))
+    masks = _hidden_masks(m, h, rate)
     # layer 0's mask is used once, so its slot takes the masked activation
     a = np.multiply(hidden0, masks[0], out=masks[0])
     return _forward_cached(m, a, masks, start=1, work=work)[2][:, 0]
@@ -130,18 +130,21 @@ def mc_dropout_predict(m: MlpModel, test: LabeledDataset, spec: DropoutSpec) -> 
         mu = predict(m, test.features)[:, 0]
         return PredictionSet(test.ids, test.targets, mu, np.zeros(test.n), test.groups)
     hidden0 = _forward_cached(m, test.features, None)[0][1]  # the same in every pass
-    buffers = _mask_buffers(m, test.n)
     work = [np.empty((test.n, w)) for w in m.config.layer_widths[2:]]
+    # the sums run over each pass's offset from the first pass, so a large
+    # |mu| against sigma does not cancel the variance's digits
+    shift = _mc_forward(m, hidden0, spec.rate, spec.seed, 0, work).copy()
     total = np.zeros(test.n)
     total_sq = np.zeros(test.n)
-    square = np.empty(test.n)
-    for s in range(spec.samples):
-        out = _mc_forward(m, hidden0, spec.rate, spec.seed, s, buffers, work)
-        total += out
-        total_sq += np.multiply(out, out, out=square)
-    mu = total / spec.samples
-    var = np.maximum(total_sq - spec.samples * mu * mu, 0.0) / (spec.samples - 1)
-    return PredictionSet(test.ids, test.targets, mu, np.sqrt(var), test.groups)
+    offset = np.empty(test.n)
+    for s in range(1, spec.samples):
+        np.subtract(_mc_forward(m, hidden0, spec.rate, spec.seed, s, work), shift, out=offset)
+        total += offset
+        offset *= offset
+        total_sq += offset
+    mean_offset = total / spec.samples
+    var = np.maximum(total_sq - spec.samples * mean_offset * mean_offset, 0.0) / (spec.samples - 1)
+    return PredictionSet(test.ids, test.targets, shift + mean_offset, np.sqrt(var), test.groups)
 
 
 def evidential_predict(

@@ -2,9 +2,8 @@
 index at its own shape, a pure-Python-int SplitMix64, and an MC-dropout pass
 loop built on the old counter with 16-bit lane masks in shift form.
 
-``uqregress.core.counter_uniform`` must equal ``counter_uniform`` here bit for
-bit (and, with ``bits=True``, ``counter_bits``), and ``mc_dropout_predict``
-must equal ``mc_dropout_reference``.
+``uqregress.core.counter_uniform`` must equal ``counter_bits`` here bit for
+bit, and ``mc_dropout_predict`` must equal ``mc_dropout_reference``.
 """
 
 from __future__ import annotations
@@ -35,11 +34,6 @@ def counter_bits(seed: RngSeed, *index_arrays) -> np.ndarray:
     return x
 
 
-def counter_uniform(seed: RngSeed, *index_arrays) -> np.ndarray:
-    """The top 53 bits of :func:`counter_bits` as a uniform in [0, 1)."""
-    return (counter_bits(seed, *index_arrays) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
 def lane_mask(seed: RngSeed, rate: float, *index_arrays, width: int) -> np.ndarray:
     """Inverted-dropout mask of ``width`` units keyed by (*index_arrays, unit):
     unit j reads bits 16·(j % 4) .. 16·(j % 4) + 15 of the hash of
@@ -60,12 +54,12 @@ def splitmix64_int(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def counter_uniform_int(seed: RngSeed, *indices: int) -> float:
-    """One counter uniform from Python-int indices."""
+def counter_bits_int(seed: RngSeed, *indices: int) -> int:
+    """One counter hash from Python-int indices."""
     x = splitmix64_int(seed.seed ^ splitmix64_int(seed.stream_id))
     for ix in indices:
         x = splitmix64_int(x ^ splitmix64_int(ix))
-    return (x >> 11) * 2.0**-53
+    return x
 
 
 def mc_dropout_reference(m: MlpModel, X: np.ndarray, rate: float, seed: RngSeed,
@@ -74,16 +68,19 @@ def mc_dropout_reference(m: MlpModel, X: np.ndarray, rate: float, seed: RngSeed,
     counter, one counter call per layer."""
     act, _ = _ACTIVATIONS[m.config.activation]
     point_ix = np.arange(X.shape[0], dtype=np.uint64)[:, None]
-    total = np.zeros(X.shape[0])
-    total_sq = np.zeros(X.shape[0])
+    outs = []
     for s in range(samples):
         a = X
         for l in range(m.n_layers - 1):
             h = act(a @ m.weights[l] + m.biases[l])
             a = h * lane_mask(seed, rate, point_ix, np.uint64(s), np.uint64(l), width=h.shape[1])
-        out = (a @ m.weights[-1] + m.biases[-1])[:, 0]
-        total += out
-        total_sq += out * out
-    mu = total / samples
-    var = np.maximum(total_sq - samples * mu * mu, 0.0) / (samples - 1)
-    return mu, np.sqrt(var)
+        outs.append((a @ m.weights[-1] + m.biases[-1])[:, 0])
+    # sums of the offsets from the first pass
+    total = np.zeros(X.shape[0])
+    total_sq = np.zeros(X.shape[0])
+    for out in outs:
+        total += out - outs[0]
+        total_sq += (out - outs[0]) ** 2
+    mean_offset = total / samples
+    var = np.maximum(total_sq - samples * mean_offset * mean_offset, 0.0) / (samples - 1)
+    return outs[0] + mean_offset, np.sqrt(var)

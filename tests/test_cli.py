@@ -723,10 +723,13 @@ class TestUnwritableInputs:
         assert list(tmp_path.iterdir()) == []
 
     def test_overflowing_checkpoint_names_the_sample(self, workspace, tmp_path, capsys):
-        # the outputs overflow to inf and their spread to NaN: predict must not
-        # write them (nor print numpy's RuntimeWarnings)
+        # the last hidden layer saturates at 1 and the head's weights of 1e308
+        # sum past the float range: the outputs overflow to inf and their
+        # spread to NaN, and predict must not write them (nor print numpy's
+        # RuntimeWarnings)
         d = json.loads(workspace["models"]["dropout"].read_text())
-        d["biases"][-1][0] = 1e308
+        d["biases"][-2] = [1e3] * len(d["biases"][-2])
+        d["weights"][-1] = [[1e308] * len(row) for row in d["weights"][-1]]
         model = tmp_path / "model.json"
         model.write_text(json.dumps(d))
         assert run("predict", "--method", "dropout", "--model", model, "--samples", 3,

@@ -108,9 +108,11 @@ def tiny(tmp_path_factory):
     for method in ("ensemble", "dropout", "evidential"):
         assert main(["train", "--method", method, "--train", str(root / "train.csv"),
                      "--out", str(root / f"{method}.json"), *TINY_TRAIN]) == 0
+    # 10 passes leave 9 of the 10 rows a spread (sigma > 0), which the
+    # adversarial subgroups need
     assert main(["predict", "--method", "dropout", "--model", str(root / "dropout.json"),
                  "--test", str(root / "test.csv"), "--out", str(root / "pred.csv"),
-                 "--samples", "3"]) == 0
+                 "--samples", "10"]) == 0
     return root
 
 

@@ -246,8 +246,7 @@ class TestDropoutExpectation:
         expected = predict(m, x[None, :])[0, 0]
         n_masks = 100_000
         X = np.tile(x, (n_masks, 1))
-        masks = _hidden_masks(m, counter_uniform(RngSeed(17), *_mask_index(m, n_masks, 0), bits=True),
-                              0.3)
+        masks = _hidden_masks(m, counter_uniform(RngSeed(17), *_mask_index(m, n_masks, 0)), 0.3)
         _, _, raw = _forward_cached(m, X, masks)
         assert abs(raw[:, 0].mean() - expected) / expected < 0.01
 
@@ -259,7 +258,7 @@ class TestLaneMasks:
     @pytest.mark.parametrize("rate", [0.05, 0.3, 0.5])
     def test_unit_reads_its_lane_in_shift_form(self, widths, rate):
         m = MlpModel(MlpConfig(widths, dropout_rate=rate))
-        h = counter_uniform(RngSeed(23, 4), *_mask_index(m, 9, 7), bits=True)
+        h = counter_uniform(RngSeed(23, 4), *_mask_index(m, 9, 7))
         assert h.dtype == np.uint64 and h.shape == (len(widths) - 2, 9, -(-max(widths[1:-1]) // 4))
         t = round(rate * 65536)
         for l, (mask, w) in enumerate(zip(_hidden_masks(m, h, rate), widths[1:-1])):
@@ -299,8 +298,7 @@ class TestLaneMasks:
             for step, rows in ((0, 32), (1, 32), (2, 6)):
                 layers = np.arange(len(widths) - 2)[:, None, None]
                 units4 = np.arange(-(-max(widths[1:-1]) // 4))
-                want = counter_uniform(epoch_seed, np.arange(rows)[:, None], step, layers, units4,
-                                       bits=True)
+                want = counter_uniform(epoch_seed, np.arange(rows)[:, None], step, layers, units4)
                 got = draw.hashes(step, rows)
                 assert got.dtype == np.uint64 and np.array_equal(got, want)
                 for a, b in zip(draw.masks(step, rows), _hidden_masks(m, want, 0.1)):

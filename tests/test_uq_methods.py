@@ -181,27 +181,45 @@ class TestMcDropout:
         expected = predict(m, X)[:, 0]
         assert np.max(np.abs(p.mu - expected) / expected) < 0.01
 
+    def test_output_offset_leaves_sigma(self):
+        # an offset moves every pass alike; sums of raw outputs and their
+        # squares lost 15% of sigma to cancellation at an offset of 1e6
+        X = np.random.default_rng(30).normal(size=(50, 2))
+        test = dataset_from(X, np.zeros(50))
+        m = MlpModel.initialize(MlpConfig((2, 16, 1), dropout_rate=0.1, seed=RngSeed(31)))
+        spec = DropoutSpec(samples=200, rate=0.1, seed=RngSeed(32))
+        base = mc_dropout_predict(m, test, spec)
+        assert base.sigma.min() > 0.01
+        for offset in (1e4, 1e6, 1e8):
+            m.biases[-1][...] = offset
+            p = mc_dropout_predict(m, test, spec)
+            np.testing.assert_allclose(p.sigma, base.sigma, rtol=1e-5)
+            np.testing.assert_allclose(p.mu - offset, base.mu, rtol=0, atol=1e-6 * offset)
+
     def test_passes_reuse_their_buffers(self):
         # a pass that allocated its (points x width) arrays made glibc return
-        # and re-fault heap pages every pass, about 340 minor faults each
+        # and re-fault heap pages every pass, about 800 minor faults each
         pytest.importorskip("resource")
-        faults = run_fresh(
-            "import json, resource\n"
-            "import numpy as np\n"
-            "from uqregress.core import LabeledDataset, RngSeed\n"
-            "from uqregress.neural import MlpConfig, MlpModel\n"
-            "from uqregress.uq_methods import DropoutSpec, mc_dropout_predict\n"
-            "X = np.random.default_rng(0).normal(size=(2000, 4))\n"
-            "test = LabeledDataset(tuple(map(str, range(2000))), X, np.zeros(2000))\n"
-            "m = MlpModel.initialize(MlpConfig((4, 32, 32, 1), dropout_rate=0.05, seed=RngSeed(1)))\n"
-            "def faults(samples):\n"
-            "    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "    mc_dropout_predict(m, test, DropoutSpec(samples, 0.05, RngSeed(2)))\n"
-            "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0\n"
-            "faults(2)\n"
-            "print(json.dumps([faults(2), faults(202)]))\n")
+
+        def faults(samples):
+            # the first call in a fresh process, where the heap has not yet
+            # grown to fit a pass
+            return run_fresh(
+                "import json, resource\n"
+                "import numpy as np\n"
+                "from uqregress.core import LabeledDataset, RngSeed\n"
+                "from uqregress.neural import MlpConfig, MlpModel\n"
+                "from uqregress.uq_methods import DropoutSpec, mc_dropout_predict\n"
+                "X = np.random.default_rng(0).normal(size=(2000, 4))\n"
+                "test = LabeledDataset(tuple(map(str, range(2000))), X, np.zeros(2000))\n"
+                "m = MlpModel.initialize(MlpConfig((4, 32, 32, 1), dropout_rate=0.05, seed=RngSeed(1)))\n"
+                "f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                f"mc_dropout_predict(m, test, DropoutSpec({samples}, 0.05, RngSeed(2)))\n"
+                "print(json.dumps(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0))\n")
+
+        few, many = faults(2), faults(202)
         # the 200 extra passes, net of what any call costs once
-        assert (faults[1] - faults[0]) / 200 < 5, faults
+        assert (many - few) / 200 < 5, (few, many)
 
     def test_needs_regression_head(self):
         _, test = synthetic_pair()

@@ -30,7 +30,7 @@ def _masks(m: MlpModel, seed, step: int, n: int) -> list[np.ndarray]:
     masks = []
     for l, w in enumerate(m.config.layer_widths[1:-1]):
         j = np.arange(w, dtype=np.uint64)
-        h = counter_uniform(seed, rows, np.uint64(step), np.uint64(l), j // np.uint64(4), bits=True)
+        h = counter_uniform(seed, rows, np.uint64(step), np.uint64(l), j // np.uint64(4))
         lanes = (h >> (np.uint64(16) * (j % np.uint64(4)))) & np.uint64(0xFFFF)
         masks.append((lanes >= t).astype(np.float64) * (65536 / (65536 - t)))
     return masks
