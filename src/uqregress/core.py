@@ -132,23 +132,144 @@ def check_count(value, what: str, least: int = 0) -> int:
     return int(value)
 
 
-def _check_finite(ids: tuple[str, ...], name: str, values: np.ndarray, unit: str) -> None:
+# An S column costs its widest cell on every row. Past this many bytes that is
+# more than a tuple of short str ids costs (sys.getsizeof of a 7-character str
+# is 56 bytes, plus an 8-byte slot), so a wider column holds bytes objects.
+TEXT_WIDTH_LIMIT = 64
+
+
+def _has_nul(a: np.ndarray) -> bool:
+    """Whether a cell of a contiguous bytes column holds NUL. An ``S`` cell
+    pads with NULs, so only a NUL run that ends inside a cell is one."""
+    if a.dtype == object:
+        return b"\x00" in b"".join(a.tolist())
+    z = a.view(np.uint8) == 0
+    ends = np.flatnonzero(z[:-1] & ~z[1:]) + 1  # offsets where a NUL run meets a byte
+    return bool((ends % a.itemsize).any())
+
+
+def encode_text(cells: list[str], what: str) -> np.ndarray:
+    """``cells`` as a new column of UTF-8 bytes: an ``S`` array, or an object
+    array of ``bytes`` when a cell is longer than TEXT_WIDTH_LIMIT bytes.
+
+    DomainError if a cell holds NUL: an ``S`` array drops trailing NULs, so
+    ``"a\\x00"`` would read back as ``"a"``.
+    """
+    joined = "".join(cells)
+    if "\x00" in joined:
+        bad = next(c for c in cells if "\x00" in c)
+        raise DomainError(f"{what} {bad!r} holds a NUL character")
+    try:
+        data = [c.encode() for c in cells]
+    except UnicodeEncodeError as exc:  # a lone surrogate
+        raise DomainError(f"{what} {exc.object!r} is not UTF-8 text") from exc
+    if max(map(len, data), default=0) <= TEXT_WIDTH_LIMIT:
+        return np.array(data, dtype="S")
+    a = np.empty(len(data), dtype=object)
+    a[:] = data
+    return a
+
+
+def _decode(cell: bytes, what: str) -> str:
+    try:
+        return cell.decode()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{what} {cell!r} is not UTF-8 text") from exc
+
+
+def _check_bytes(a: np.ndarray, what: str) -> None:
+    """DomainError unless every cell of a contiguous bytes column is UTF-8
+    text without NUL. Only cells with a byte past ASCII are decoded."""
+    if _has_nul(a):
+        bad = next(c for c in a.tolist() if b"\x00" in c)
+        raise DomainError(f"{what} {bad.decode(errors='replace')!r} holds a NUL character")
+    if a.dtype == object:
+        wide = [c for c in a.tolist() if not c.isascii()]
+    elif a.size and a.view(np.uint8).max() >= 0x80:
+        wide = a[(a.view(np.uint8).reshape(a.size, -1) >= 0x80).any(axis=1)].tolist()
+    else:
+        return
+    for c in wide:
+        _decode(c, what)
+
+
+def _owns_frozen(a: np.ndarray) -> bool:
+    """Whether ``a`` is read-only and contiguous, and owns its data or views
+    a read-only array, so that a text column may share it: a read-only view
+    of a writable array is copied, since the caller may still write to it."""
+    base = a.base
+    return (not a.flags.writeable and a.flags.c_contiguous
+            and (base is None or isinstance(base, np.ndarray) and not base.flags.writeable))
+
+
+def text_column(values, what: str) -> np.ndarray:
+    """``values`` as a read-only column of UTF-8 bytes (see :func:`encode_text`).
+
+    A 1-D ``S`` array, or a 1-D object array of ``bytes``, is taken as UTF-8
+    (DomainError if it is not, or holds NUL), and shared when
+    :func:`_owns_frozen` holds. Any other sequence is taken item by item: a
+    ``bytes`` item as UTF-8 text, anything else through ``str()``.
+    """
+    if isinstance(values, np.ndarray) and values.ndim == 1 and (
+            values.dtype.kind == "S" or values.dtype == object
+            and all(type(v) is bytes for v in values.tolist())):
+        a = values if _owns_frozen(values) else values.copy()
+        _check_bytes(a, what)
+    else:
+        a = encode_text([_decode(v, what) if isinstance(v, bytes) else str(v) for v in values],
+                        what)
+    a.flags.writeable = False
+    return a
+
+
+def _check_finite(ids: np.ndarray, name: str, values: np.ndarray, unit: str) -> None:
     """NonFiniteValueError naming the row (``unit`` 'row' or 'index') that
     holds the first non-finite value of ``values``, one row per id."""
     bad = ~np.isfinite(values)
     if bad.any():
         i = int(np.argmax(bad)) // (bad.size // len(bad))  # row of the first, row-major
-        raise NonFiniteValueError(f"non-finite {name} at {unit} {i} (id={ids[i]!r})")
+        raise NonFiniteValueError(f"non-finite {name} at {unit} {i} (id={ids[i].decode()!r})")
 
 
-def _check_unique(ids: tuple[str, ...], unit: str) -> None:
-    """DuplicateIdError naming the first id seen twice and its row."""
-    if len(set(ids)) != len(ids):
-        seen: set[str] = set()
-        for i, rid in enumerate(ids):
-            if rid in seen:
-                raise DuplicateIdError(f"duplicate id {rid!r} at {unit} {i}")
-            seen.add(rid)
+def _id_hashes(ids: np.ndarray) -> np.ndarray:
+    """One uint64 per cell of an ``S`` column: its bytes, NUL-padded to whole
+    8-byte words, chained through SplitMix64 as ``h <- mix((h ^ word) + G)``."""
+    n, width = ids.size, ids.itemsize
+    padded = np.zeros((n, -(-max(width, 1) // 8) * 8), dtype=np.uint8)
+    padded[:, :width] = ids.view(np.uint8).reshape(n, width)
+    words = padded.view(np.uint64)
+    h = np.zeros(n, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for word in words.T:
+            h ^= word
+            h += _GOLDEN
+            _mix(h)
+    return h
+
+
+def _check_unique(ids: np.ndarray, unit: str) -> None:
+    """DuplicateIdError naming the first id seen twice and its row.
+
+    An ``S`` column is hashed and the hashes sorted; only the rows whose
+    hashes tie are compared as ids. NULs are refused and cells NUL-padded, so
+    equal words mean equal ids. An object column (wide ids) uses a set.
+    """
+    if ids.dtype == object:
+        if len(set(ids.tolist())) == ids.size:
+            return
+        rows = np.arange(ids.size)
+    else:
+        h = _id_hashes(ids)
+        s = np.sort(h)
+        ties = s[1:][s[1:] == s[:-1]]
+        if not ties.size:
+            return
+        rows = np.flatnonzero(np.isin(h, ties))  # every row that may repeat an id, in row order
+    seen: set[bytes] = set()
+    for i, rid in zip(rows.tolist(), ids[rows].tolist()):
+        if rid in seen:
+            raise DuplicateIdError(f"duplicate id {rid.decode()!r} at {unit} {i}")
+        seen.add(rid)
 
 
 def _freeze(a) -> np.ndarray:
@@ -157,14 +278,10 @@ def _freeze(a) -> np.ndarray:
     return a
 
 
-def take(seq, rows):
-    """The entries of ``seq`` at ``rows`` (Python ints), as a tuple; None stays None."""
-    return None if seq is None else tuple(map(seq.__getitem__, rows))
-
-
 class _Rows:
-    """Row access shared by the two row records: an ``ids`` tuple, an optional
-    ``groups`` tuple and the array columns each record names in ``_columns``."""
+    """Row access shared by the two row records: read-only ``ids`` and
+    optional ``groups`` text columns (see :func:`text_column`) and the array
+    columns each record names in ``_columns``."""
 
     _columns: tuple[str, ...]
 
@@ -175,9 +292,13 @@ class _Rows:
     def subset(self, indices):
         """Row subset (preserving the given order), through the record's own constructor."""
         idx = np.asarray(indices, dtype=np.intp)
-        rows = idx.tolist()
-        columns = {name: getattr(self, name)[idx] for name in self._columns}
-        return type(self)(ids=take(self.ids, rows), groups=take(self.groups, rows), **columns)
+        return type(self)(**{name: None if (c := getattr(self, name)) is None else c[idx]
+                             for name in self._columns})
+
+    def _set_text(self) -> None:
+        object.__setattr__(self, "ids", text_column(self.ids, "id"))
+        if self.groups is not None:
+            object.__setattr__(self, "groups", text_column(self.groups, "group tag"))
 
 
 @dataclass(frozen=True)
@@ -189,18 +310,16 @@ class LabeledDataset(_Rows):
     ids unique. Targets are nominally in eV; no unit arithmetic is performed.
     """
 
-    ids: tuple[str, ...]
+    ids: np.ndarray
     features: np.ndarray
     targets: np.ndarray
-    groups: tuple[str, ...] | None = None
-    _columns = ("features", "targets")
+    groups: np.ndarray | None = None
+    _columns = ("ids", "features", "targets", "groups")
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ids", tuple(map(str, self.ids)))
+        self._set_text()
         object.__setattr__(self, "features", _freeze(np.atleast_2d(self.features)))
         object.__setattr__(self, "targets", _freeze(np.ravel(self.targets)))
-        if self.groups is not None:
-            object.__setattr__(self, "groups", tuple(map(str, self.groups)))
         n = len(self.ids)
         if self.features.shape[0] != n or self.targets.shape[0] != n:
             raise LengthMismatchError(
@@ -236,19 +355,17 @@ class PredictionSet(_Rows):
     enforce the invariants (so that validation failures are testable).
     """
 
-    ids: tuple[str, ...]
+    ids: np.ndarray
     y_true: np.ndarray
     mu: np.ndarray
     sigma: np.ndarray
-    groups: tuple[str, ...] | None = None
-    _columns = ("y_true", "mu", "sigma")
+    groups: np.ndarray | None = None
+    _columns = ("ids", "y_true", "mu", "sigma", "groups")
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ids", tuple(map(str, self.ids)))
+        self._set_text()
         for name in ("y_true", "mu", "sigma"):
             object.__setattr__(self, name, _freeze(np.ravel(getattr(self, name))))
-        if self.groups is not None:
-            object.__setattr__(self, "groups", tuple(map(str, self.groups)))
 
     def with_sigma(self, sigma) -> "PredictionSet":
         """This set with ``sigma`` replaced; the other columns are shared, not copied."""
@@ -275,9 +392,16 @@ def validate_prediction_set(p: PredictionSet) -> PredictionSet:
     neg = p.sigma < 0.0
     if neg.any():
         i = int(np.argmax(neg))
-        raise NegativeSigmaError(f"sigma={p.sigma[i]} at index {i} (id={p.ids[i]!r})")
+        raise NegativeSigmaError(f"sigma={p.sigma[i]} at index {i} (id={p.ids[i].decode()!r})")
     _check_unique(p.ids, "index")
     return p
+
+
+def fold_rows(n: int, k: int, seed: RngSeed) -> list[np.ndarray]:
+    """The row indices of :func:`split_k_folds`' folds of an ``n``-row table."""
+    if check_count(k, "k", 2) > n:
+        raise KTooLargeError(f"k={k} folds but only {n} rows")
+    return np.array_split(seed.generator().permutation(n), k)
 
 
 def split_k_folds(d: LabeledDataset, k: int, seed: RngSeed) -> list[LabeledDataset]:
@@ -286,7 +410,4 @@ def split_k_folds(d: LabeledDataset, k: int, seed: RngSeed) -> list[LabeledDatas
     Fold sizes differ by at most one (the first ``n % k`` folds get the extra
     row). Same (dataset, k, seed) always yields the same folds.
     """
-    if check_count(k, "k", 2) > d.n:
-        raise KTooLargeError(f"k={k} folds but only {d.n} rows")
-    perm = seed.generator().permutation(d.n)
-    return [d.subset(rows) for rows in np.array_split(perm, k)]
+    return [d.subset(rows) for rows in fold_rows(d.n, k, seed)]

@@ -8,13 +8,15 @@ behind a file; the CLI calls it once per output after the command succeeds.
 
 CSV tables are written and read a column at a time, ``CHUNK_ROWS`` rows at a
 time, so a read holds about the file's bytes plus the parsed columns. Text
-cells (ids, group tags) are quoted exactly as ``csv.writer`` quotes them. A
-file that is not plain (printable ASCII lines, no quotes, no blank lines), or
-that the column parse rejects in any chunk, is read again line by line with
-the ``csv`` module, and that scan alone decides what the file holds or which
-error it raises. A table without rows is a zero-row record, written and
-read back as its header alone. Every file is written to a sibling temp file
-that then replaces the target, so a failed write leaves the target as it was.
+cells (ids, group tags) are read into read-only columns of UTF-8 bytes (see
+``core.text_column``) and are written quoted exactly as ``csv.writer`` quotes
+them. A file that is not plain (printable ASCII lines, no quotes, no blank
+lines), or that the column parse rejects in any chunk, is read again line by
+line with the ``csv`` module, and that scan alone decides what the file holds
+or which error it raises. A table without rows is a zero-row record, written
+and read back as its header alone. Every file is written to a sibling temp
+file that then replaces the target, so a failed write leaves the target as it
+was.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .core import DatasetFile, LabeledDataset, PredictionSet, RngSeed
+from .core import DatasetFile, LabeledDataset, PredictionSet, RngSeed, encode_text, text_column
 from .errors import (FileParseError, LengthMismatchError, NonFiniteValueError, ReportSchemaError,
                      UqError, _check_keys)
 
@@ -49,7 +51,7 @@ _SCAN_BYTES = 1 << 20  # bytes checked at a time for a newline or a byte a plain
 _QUOTE_TRIGGER = re.compile('[,"\r\n\x00]')
 # the bytes a plain CSV file may hold: printable ASCII except '"', and '\n'
 _PLAIN_BYTES = bytes(c for c in range(0x20, 0x7F) if c != 0x22) + b"\n"
-TEXT_COLUMNS = frozenset({"id", "group"})  # read as str; every other column is float64
+TEXT_COLUMNS = frozenset({"id", "group"})  # read as UTF-8 bytes; every other column is float64
 PREDICTION_HEADER = ("id", "y_true", "y_pred", "sigma")  # then an optional "group"
 
 
@@ -117,7 +119,10 @@ def _csv_field(text: str) -> str:
 
 
 def _text_cells(values) -> list[str]:
-    cells = list(map(str, values))
+    if isinstance(values, np.ndarray):  # an S or object column of UTF-8 bytes
+        cells = [c.decode() for c in values]  # no list of bytes objects beside the str
+    else:
+        cells = list(map(str, values))
     if _QUOTE_TRIGGER.search("".join(cells)):
         cells = [_csv_field(c) if _QUOTE_TRIGGER.search(c) else c for c in cells]
     return cells
@@ -126,9 +131,11 @@ def _text_cells(values) -> list[str]:
 def write_columns_csv(path, header, columns) -> None:
     """Write ``header`` and one row per index of the aligned ``columns``.
 
-    An ndarray column holds floats, each written as its ``repr`` (the shortest
-    decimal that reads back as the same float64); any other sequence holds
-    text. Rows are formatted ``CHUNK_ROWS`` at a time, and the bytes equal
+    A numeric ndarray column is written as each value's ``repr`` (for a
+    float, the shortest decimal that reads back as the same float64). An
+    ``S`` or object ndarray is a text column of UTF-8 bytes (see
+    ``core.text_column``), and any other sequence holds text as ``str()``
+    gives it. Rows are formatted ``CHUNK_ROWS`` at a time, and the bytes equal
     those ``csv.writer(f, lineterminator="\\n")`` writes for the same rows.
     """
     if len(header) != len(columns):
@@ -140,7 +147,8 @@ def write_columns_csv(path, header, columns) -> None:
         f.write(",".join(_text_cells(header)) + "\n")
         for lo in range(0, n, CHUNK_ROWS):
             cells = [
-                list(map(repr, c[lo:lo + CHUNK_ROWS].tolist())) if isinstance(c, np.ndarray)
+                list(map(repr, c[lo:lo + CHUNK_ROWS].tolist()))
+                if isinstance(c, np.ndarray) and c.dtype.kind not in "SO"
                 else _text_cells(c[lo:lo + CHUNK_ROWS])
                 for c in columns
             ]
@@ -170,8 +178,13 @@ def _scan_rows(path: Path, data: bytes, check) -> dict:
         if len(row) != len(header):
             raise FileParseError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
         for name, cell, column in zip(header, row, columns):
-            column.append(cell if name in TEXT_COLUMNS else _parse_float(cell, path, ln, name))
-    return {name: tuple(c) if name in TEXT_COLUMNS else _floats(c) for name, c in zip(header, columns)}
+            if name not in TEXT_COLUMNS:
+                cell = _parse_float(cell, path, ln, name)
+            elif "\x00" in cell:  # a bytes column would drop it at a cell's end
+                raise FileParseError(f"{path}:{ln}: column {name!r} holds a NUL character")
+            column.append(cell)
+    return {name: text_column(c, name) if name in TEXT_COLUMNS else _floats(c)
+            for name, c in zip(header, columns)}
 
 
 def _offsets(raw: np.ndarray, byte: int) -> np.ndarray:
@@ -202,7 +215,8 @@ def _column_parse(path: Path, data: bytes, check) -> dict | None:
     check(path, header)
     n = ends.size - 1
     row = np.dtype([(name, object if name in TEXT_COLUMNS else np.float64) for name in header])
-    columns = {name: [] if name in TEXT_COLUMNS else np.empty(n) for name in header}
+    columns = {name: [encode_text([], name)] if name in TEXT_COLUMNS else np.empty(n)
+               for name in header}  # a text column is a list of chunk arrays until the end
     for lo in range(0, n, CHUNK_ROWS):
         m = min(CHUNK_ROWS, n - lo)
         stream = BytesIO(data)  # shares the bytes of data
@@ -217,10 +231,13 @@ def _column_parse(path: Path, data: bytes, check) -> dict | None:
             return None
         for name, column in columns.items():
             if name in TEXT_COLUMNS:
-                column += rows[name].tolist()
+                column.append(encode_text(rows[name].tolist(), name))
             else:
                 column[lo:lo + m] = rows[name]
-    return {name: tuple(c) if name in TEXT_COLUMNS else c for name, c in columns.items()}
+    for name in TEXT_COLUMNS.intersection(columns):
+        columns[name] = np.concatenate(columns[name])  # as wide as its widest chunk
+        columns[name].flags.writeable = False
+    return columns
 
 
 def _read_columns_csv(path, check) -> dict:
@@ -228,7 +245,8 @@ def _read_columns_csv(path, check) -> dict:
 
     ``check(path, header)`` validates the header, raising FileParseError
     before any row is read. The columns named in ``TEXT_COLUMNS`` come back
-    as tuples of str, every other column as a float64 array. Blank lines are
+    as read-only columns of UTF-8 bytes, every other column as a float64
+    array. A NUL in a text cell is refused with FileParseError. Blank lines are
     skipped, and the file's values and errors are exactly those of a
     ``csv.reader`` scan with ``float()`` on every float cell.
     """
@@ -247,10 +265,10 @@ def write_dataset_csv(path, ids, features, targets, groups=None, true_sigma=None
     """
     features = _floats(features)
     header = ["id"] + [f"x{j}" for j in range(features.shape[1])] + ["y"]
-    columns = [tuple(ids), *features.T, _floats(targets)]
+    columns = [text_column(ids, "id"), *features.T, _floats(targets)]
     if groups is not None:
         header.append("group")
-        columns.append(tuple(groups))
+        columns.append(text_column(groups, "group tag"))
     if true_sigma is not None:
         header.append("true_sigma")
         columns.append(_floats(true_sigma))

@@ -169,15 +169,13 @@ def grouped_metrics(p: PredictionSet) -> dict[str, GroupMetrics]:
     """
     if p.groups is None:
         raise MissingGroupsError("prediction set has no group tags")
-    tags = sorted(set(p.groups))
-    garr = np.asarray(p.groups)
     out: dict[str, GroupMetrics] = {}
-    for tag in tags:
-        idx = np.flatnonzero(garr == tag)
-        sub = p.subset(idx)
+    for tag in sorted(set(p.groups.tolist())):  # UTF-8 bytes sort as their text does
+        sub = p.subset(np.flatnonzero(p.groups == tag))
         acc = accuracy(sub) if sub.n >= 2 else None
-        out[tag] = GroupMetrics(
-            tag=tag,
+        name = tag.decode()
+        out[name] = GroupMetrics(
+            tag=name,
             n=sub.n,
             mae=float(np.mean(np.abs(sub.mu - sub.y_true))),
             sharpness=sharpness(sub),

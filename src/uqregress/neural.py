@@ -321,7 +321,7 @@ def loss_and_gradient(
     if dropout_seed is not None and rate > 0.0:
         masks = _hidden_masks(
             m, counter_uniform(dropout_seed, *_mask_index(m, batch.n, 0)), rate)
-    loss, grad = _loss_and_grads(m, batch.features, batch.targets, batch.ids.__getitem__,
+    loss, grad = _loss_and_grads(m, batch.features, batch.targets, lambda i: batch.ids[i].decode(),
                                  reg_weight, masks)
     return loss, list(zip(*_layer_views(grad, m.config.layer_widths)))
 
@@ -347,7 +347,7 @@ def train(m: MlpModel, data: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel
 
     def sample_id(row: int) -> str:
         # row of the batch that starts at `start` in this epoch's `perm`
-        return data.ids[perm[start + row]]
+        return data.ids[perm[start + row]].decode()
 
     # an overflow or NaN ends in the NonFiniteLossError or DivergenceError below,
     # which say where; numpy's RuntimeWarning would only add stderr lines

@@ -319,10 +319,19 @@ def kde_scott(samples, eval_points) -> np.ndarray:
         raise NonFiniteValueError("samples must be finite")
     h = scott_bandwidth(samples)
     out = np.zeros(grid.size, dtype=np.float64)
-    # chunk over the grid so n_samples x n_grid never materializes at once
+    # chunk over the grid so n_samples x n_grid never materializes at once,
+    # and work in one chunk-sized buffer. -0.5 is a power of two, so
+    # -0.5 * (t * t) equals (-0.5 * t) * t, except where t * t is subnormal,
+    # and there exp gives 1.0 either way.
     step = max(1, int(1e6 // max(1, samples.size)))
+    buf = np.empty((min(step, grid.size), samples.size))
     for start in range(0, grid.size, step):
         g = grid[start : start + step]
-        t = (g[:, None] - samples[None, :]) / h
-        out[start : start + step] = np.exp(-0.5 * t * t).sum(axis=1) / (samples.size * h * _SQRT_2PI)
+        t = buf[: g.size]
+        np.subtract(g[:, None], samples[None, :], out=t)
+        t /= h
+        np.square(t, out=t)
+        t *= -0.5
+        np.exp(t, out=t)
+        out[start : start + step] = t.sum(axis=1) / (samples.size * h * _SQRT_2PI)
     return out

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PredictionSet, take, validate_prediction_set
+from .core import PredictionSet, validate_prediction_set
 from .errors import DomainError
 
 
@@ -62,7 +62,7 @@ def screen(p: PredictionSet, c: ScreenCriteria) -> ScreenReport:
     selected = (p.mu >= c.value_lo) & (p.mu <= c.value_hi) & (p.sigma <= c.sigma_max)
     honest = selected & (np.abs(p.y_true - p.mu) <= c.honesty_multiplier * p.sigma)
     masks = (selected, honest, selected & ~honest)  # ScreenReport's field order
-    return ScreenReport(*(take(p.ids, np.flatnonzero(m).tolist()) for m in masks))
+    return ScreenReport(*(tuple(i.decode() for i in p.ids[m].tolist()) for m in masks))
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -14,8 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import evidential as ev
-from .core import (LabeledDataset, PredictionSet, RngSeed, check_count, counter_uniform,
-                   split_k_folds)
+# split_k_folds is bound here for perfbench/tracing.py, which wraps it by this name
+from .core import (LabeledDataset, PredictionSet, RngSeed, check_count, counter_uniform,  # noqa: F401
+                   fold_rows, split_k_folds)
 from .errors import DomainError, FoldTooSmallError, WrongHeadWidthError
 from .neural import (MlpConfig, MlpModel, TrainConfig, _forward_cached, _hidden_masks,
                      _mask_index, check_dropout_rate, predict, train)
@@ -64,15 +65,12 @@ class DropoutSpec:
 
 def train_kfold_members(train_data: LabeledDataset, spec: EnsembleSpec) -> list[MlpModel]:
     """Train the k fold-assigned ensemble members (independent seeds each)."""
-    folds = split_k_folds(train_data, spec.k, spec.train.seed.derive(_FOLD_NS))
-    row = {rid: i for i, rid in enumerate(train_data.ids)}  # ids are unique
+    rows = fold_rows(train_data.n, spec.k, spec.train.seed.derive(_FOLD_NS))
     members = []
     for i in range(spec.k):
-        if spec.member_training == "one_fold_each":
-            member_data = folds[i]
-        else:  # the other folds' rows, in fold order
-            member_data = train_data.subset(
-                [row[rid] for j, f in enumerate(folds) if j != i for rid in f.ids])
+        member_data = train_data.subset(
+            rows[i] if spec.member_training == "one_fold_each"
+            else np.concatenate(rows[:i] + rows[i + 1:]))  # the other folds' rows, in fold order
         if member_data.n < 2:
             raise FoldTooSmallError(
                 f"member {i} would train on {member_data.n} sample(s); "

@@ -7,7 +7,9 @@ decision and error text on malformed files. Its two changes since then: a
 file that is not UTF-8, and a file the ``csv`` module rejects (such as a
 field longer than ``csv.field_size_limit()``), raise FileParseError naming
 the file and line instead of ``UnicodeDecodeError`` or ``csv.Error``, with
-the same text as ``uqregress.io``.
+the same text as ``uqregress.io``; and an id or group tag holding NUL, which
+a bytes column cannot keep, raises FileParseError naming the line. Records
+hold their text as UTF-8 bytes, which the writers decode.
 """
 
 from __future__ import annotations
@@ -32,6 +34,17 @@ def _parse_float(token: str, path: Path, line: int, col: str) -> float:
         return float(token)
     except ValueError as exc:
         raise FileParseError(f"{path}:{line}: column {col!r}: {token!r} is not a number") from exc
+
+
+def _text(cell) -> str:
+    """A record's text cell (UTF-8 bytes) as str; str passes through."""
+    return cell.decode() if isinstance(cell, bytes) else cell
+
+
+def _text_cell(cell: str, path: Path, line: int, col: str) -> str:
+    if "\x00" in cell:
+        raise FileParseError(f"{path}:{line}: column {col!r} holds a NUL character")
+    return cell
 
 
 def _rows(path: Path) -> list[list[str]]:
@@ -81,9 +94,9 @@ def write_dataset_csv(
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)
         for i, rid in enumerate(ids):
-            row = [rid] + [fmt(v) for v in features[i]] + [fmt(targets[i])]
+            row = [_text(rid)] + [fmt(v) for v in features[i]] + [fmt(targets[i])]
             if groups is not None:
-                row.append(groups[i])
+                row.append(_text(groups[i]))
             if true_sigma is not None:
                 row.append(fmt(true_sigma[i]))
             w.writerow(row)
@@ -117,12 +130,12 @@ def read_dataset_csv(path) -> DatasetFile:
             continue
         if len(row) != len(header):
             raise FileParseError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
-        ids.append(row[0])
+        ids.append(_text_cell(row[0], path, ln, "id"))
         feats.append([_parse_float(row[1 + j], path, ln, f"x{j}") for j in range(dim)])
         ys.append(_parse_float(row[1 + dim], path, ln, "y"))
         pos = 2 + dim
         if has_group:
-            groups.append(row[pos])
+            groups.append(_text_cell(row[pos], path, ln, "group"))
             pos += 1
         if has_sigma:
             sigmas.append(_parse_float(row[pos], path, ln, "true_sigma"))
@@ -151,9 +164,9 @@ def write_predictions_csv(path, p: PredictionSet | None) -> None:
         if p is None:
             return
         for i in range(p.n):
-            row = [p.ids[i], fmt(p.y_true[i]), fmt(p.mu[i]), fmt(p.sigma[i])]
+            row = [_text(p.ids[i]), fmt(p.y_true[i]), fmt(p.mu[i]), fmt(p.sigma[i])]
             if has_group:
-                row.append(p.groups[i])
+                row.append(_text(p.groups[i]))
             w.writerow(row)
 
 
@@ -174,12 +187,12 @@ def read_predictions_csv(path) -> PredictionSet | None:
             continue
         if len(row) != len(header):
             raise FileParseError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
-        ids.append(row[0])
+        ids.append(_text_cell(row[0], path, ln, "id"))
         y.append(_parse_float(row[1], path, ln, "y_true"))
         mu.append(_parse_float(row[2], path, ln, "y_pred"))
         sigma.append(_parse_float(row[3], path, ln, "sigma"))
         if has_group:
-            groups.append(row[4])
+            groups.append(_text_cell(row[4], path, ln, "group"))
     if not ids:
         return None
     return PredictionSet(

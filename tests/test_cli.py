@@ -467,6 +467,22 @@ class TestHeaderOnlyInputs:
         assert list(tmp_path.iterdir()) == [csv_path]
 
 
+class TestNulInText:
+    # an id or group tag is held as fixed-width bytes, which drop a NUL at a
+    # cell's end; csv.reader refuses NUL itself before Python 3.11
+    @pytest.mark.parametrize("text, argv", [
+        ('id,y_true,y_pred,sigma\nok,1,1,1\n"a\x00",1,1,1\n', ["evaluate", "--pred"]),
+        ('id,y_true,y_pred,sigma,group\nok,1,1,1,g\na,1,1,1,"g\x00"\n', ["screen", "--pred"]),
+        ("id,x0,y\nok,1,2\nr\x00,1,2\n", ["train", "--method", "dropout", *FAST_TRAIN, "--train"]),
+    ], ids=["id", "group", "dataset-id"])
+    def test_one_error_line_naming_the_line(self, tmp_path, capsys, text, argv):
+        csv_path = tmp_path / "in.csv"
+        csv_path.write_text(text)
+        assert run(*argv, csv_path, "--out", tmp_path / "out.json") == 1
+        _one_error_line(capsys, f"{csv_path}:3: ")
+        assert list(tmp_path.iterdir()) == [csv_path]
+
+
 def _one_error_line(capsys, *needles):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("uqregress: error:")

@@ -8,10 +8,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uqregress import cli
+from uqregress import cli, core
 from uqregress.calibration import adversarial_group_calibration, calibration_curve
 from uqregress.core import (
+    TEXT_WIDTH_LIMIT,
     LabeledDataset,
     PredictionSet,
     RngSeed,
@@ -136,7 +139,7 @@ class TestLabeledDataset:
 
     def test_zero_rows_keep_their_dim(self):
         ds = LabeledDataset(ids=(), features=np.empty((0, 3)), targets=[], groups=())
-        assert (ds.n, ds.dim, ds.features.shape, ds.groups) == (0, 3, (0, 3), ())
+        assert (ds.n, ds.dim, ds.features.shape, ds.groups.tolist()) == (0, 3, (0, 3), [])
 
     @pytest.mark.parametrize("step", [
         lambda m, ds: train(m, ds, TrainConfig(epochs=1, batch_size=4, learning_rate=0.1)),
@@ -192,7 +195,7 @@ class TestSubset:
     def test_subset_preserves_order(self, record):
         full = small_dataset(5) if record is LabeledDataset else small_predictions(5)
         sub = full.subset([3, 1])
-        assert sub.ids == ("r3", "r1") and sub.n == 2 and type(sub) is record
+        assert sub.ids.tolist() == [b"r3", b"r1"] and sub.n == 2 and type(sub) is record
         for name, column in array_columns(full).items():
             np.testing.assert_array_equal(getattr(sub, name), column[[3, 1]])
 
@@ -200,7 +203,7 @@ class TestSubset:
     def test_subset_takes_targets_and_groups_with_the_rows(self, record):
         full = three_rows(record)
         sub = full.subset(np.array([2, 0]))
-        assert sub.ids == ("c", "a") and sub.groups == ("g2", "g0")
+        assert sub.ids.tolist() == [b"c", b"a"] and sub.groups.tolist() == [b"g2", b"g0"]
         targets = sub.targets if record is LabeledDataset else sub.y_true
         np.testing.assert_array_equal(targets, [30.0, 10.0])
         for name, column in array_columns(full).items():
@@ -213,7 +216,7 @@ class TestSubset:
     def test_repeated_index_rechecks_a_dataset_only(self):
         with pytest.raises(DuplicateIdError, match="duplicate id 'b' at row 1"):
             three_rows(LabeledDataset).subset([1, 1])
-        assert three_rows(PredictionSet).subset([1, 1]).ids == ("b", "b")
+        assert three_rows(PredictionSet).subset([1, 1]).ids.tolist() == [b"b", b"b"]
 
 
 class TestSplitKFolds:
@@ -233,8 +236,8 @@ class TestSplitKFolds:
         # of the seeded permutation, in its order
         assert [f.n for f in folds] == [3, 2, 2]
         perm = RngSeed(1).generator().permutation(7)
-        assert [f.ids for f in folds] == [tuple(f"r{i}" for i in rows)
-                                          for rows in (perm[:3], perm[3:5], perm[5:])]
+        assert [f.ids.tolist() for f in folds] == [[f"r{i}".encode() for i in rows]
+                                                   for rows in (perm[:3], perm[3:5], perm[5:])]
 
     def test_disjoint_and_covering(self):
         ds = small_dataset(53)
@@ -247,13 +250,13 @@ class TestSplitKFolds:
         ds = small_dataset(40)
         a = split_k_folds(ds, 4, RngSeed(9))
         b = split_k_folds(ds, 4, RngSeed(9))
-        assert [f.ids for f in a] == [f.ids for f in b]
+        assert [f.ids.tolist() for f in a] == [f.ids.tolist() for f in b]
 
     def test_different_seed_different_assignment(self):
         ds = small_dataset(40)
         a = split_k_folds(ds, 4, RngSeed(9))
         b = split_k_folds(ds, 4, RngSeed(10))
-        assert [f.ids for f in a] != [f.ids for f in b]
+        assert [f.ids.tolist() for f in a] != [f.ids.tolist() for f in b]
 
     def test_k_too_large(self):
         with pytest.raises(KTooLargeError):
@@ -368,3 +371,124 @@ class TestCheckCount:
         value = {"float": 2.5, "bool": True, "str": "3", "below_least": least - 1}[bad]
         with pytest.raises(DomainError, match=f"^{re.escape(name)} must be "):
             call(value)
+
+
+def _zeros_set(ids, groups=None) -> PredictionSet:
+    n = len(ids)
+    return PredictionSet(ids, np.zeros(n), np.zeros(n), np.ones(n), groups=groups)
+
+
+def _first_repeat(ids, unit="index"):
+    """The duplicate-id message an ordered set scan gives, or None."""
+    seen = set()
+    for i, rid in enumerate(ids):
+        if rid in seen:
+            return f"duplicate id {rid!r} at {unit} {i}"
+        seen.add(rid)
+    return None
+
+
+# any text but NUL and lone surrogates; 16 characters are at most 64 UTF-8 bytes
+id_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                  max_size=16)
+
+
+class TestTextColumns:
+    """Ids and group tags are read-only columns of UTF-8 bytes, checked for
+    uniqueness by hash and sort."""
+
+    def test_sequences_are_encoded_once_and_columns_shared(self):
+        p = _zeros_set([7, "é1", "x"], groups=("g", "g", "h"))
+        assert p.ids.dtype == np.dtype("S3") and p.ids.tolist() == [b"7", "é1".encode(), b"x"]
+        assert not p.ids.flags.writeable and not p.groups.flags.writeable
+        q = PredictionSet(p.ids, p.y_true, p.mu, p.sigma, p.groups)
+        assert q.ids is p.ids and q.groups is p.groups
+        writable = np.array([b"a", b"b"])
+        r = _zeros_set(writable)
+        assert r.ids is not writable and not r.ids.flags.writeable
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(id_text, unique=True, max_size=40), st.data())
+    def test_hash_sort_check_agrees_with_a_set(self, unique, data):
+        ids = list(unique)
+        if ids and data.draw(st.booleans()):  # repeat an earlier id somewhere after it
+            src = data.draw(st.integers(0, len(ids) - 1))
+            ids.insert(data.draw(st.integers(src + 1, len(ids))), ids[src])
+        p = _zeros_set(ids)
+        assert p.ids.dtype.kind == "S"
+        want = _first_repeat(ids)
+        if want is None:
+            assert validate_prediction_set(p) is p
+        else:
+            with pytest.raises(DuplicateIdError) as info:
+                validate_prediction_set(p)
+            assert str(info.value) == want
+
+    def test_colliding_hashes_compare_the_ids_exactly(self, monkeypatch):
+        monkeypatch.setattr(core, "_id_hashes", lambda ids: np.zeros(ids.size, dtype=np.uint64))
+        distinct = ["a", "bb", "c", "a" * 20, "é"]
+        assert validate_prediction_set(_zeros_set(distinct)).n == 5
+        repeated = distinct + ["c", "bb"]
+        with pytest.raises(DuplicateIdError) as info:
+            validate_prediction_set(_zeros_set(repeated))
+        assert str(info.value) == _first_repeat(repeated) == "duplicate id 'c' at index 5"
+        with pytest.raises(DuplicateIdError, match="^duplicate id 'bb' at row 2$"):
+            LabeledDataset(ids=("a", "bb", "bb"), features=np.zeros((3, 1)), targets=np.zeros(3))
+
+    def test_a_long_id_holds_the_column_as_bytes_objects(self):
+        n = 2000
+        ids = [f"r{i}" for i in range(n)]
+        ids[7] = "x" * 100_000
+        p = _zeros_set(ids)
+        assert p.ids.dtype == object and not p.ids.flags.writeable
+        assert p.ids.nbytes == 8 * n < n * 100_000 // 1000  # an S column would take 200 MB
+        assert p.ids[7] == ids[7].encode() and (p.ids == b"r8").sum() == 1
+        assert validate_prediction_set(p) is p
+        with pytest.raises(DuplicateIdError, match="^duplicate id 'r3' at index 2000$"):
+            validate_prediction_set(_zeros_set(ids + ["r3"]))
+        sub = p.subset([7, 9])
+        assert sub.ids.tolist() == [ids[7].encode(), b"r9"]
+
+    def test_width_limit_is_inclusive(self):
+        assert _zeros_set(["a" * TEXT_WIDTH_LIMIT]).ids.dtype.kind == "S"
+        assert _zeros_set(["a" * (TEXT_WIDTH_LIMIT + 1)]).ids.dtype == object
+        assert _zeros_set(["é" * (TEXT_WIDTH_LIMIT // 2 + 1)]).ids.dtype == object  # bytes count
+
+    @pytest.mark.parametrize("make", [
+        lambda: PredictionSet(ids=("a\x00",), y_true=[0.0], mu=[0.0], sigma=[1.0]),
+        lambda: _zeros_set(["a", "b"], groups=["g", "\x00g"]),
+        lambda: _zeros_set(np.array([b"a\x00b", b"c"])),
+        lambda: LabeledDataset(ids=("x\x00y",), features=[[1.0]], targets=[0.0]),
+    ], ids=["id", "group", "bytes-array", "dataset"])
+    def test_nul_is_refused(self, make):
+        # an S array drops trailing NULs, so "a\x00" would equal "a"
+        with pytest.raises(DomainError, match="holds a NUL character"):
+            make()
+
+    def test_bytes_items_round_trip_as_text(self):
+        p = _zeros_set(["r000000", "é1", "a" * (TEXT_WIDTH_LIMIT + 1)], groups=["g", "h", "é"])
+        for ids, groups in [(list(p.ids), list(p.groups)),
+                            (p.ids.tolist(), p.groups.tolist()),
+                            (tuple(np.array(p.ids.tolist(), dtype="S")), None)]:
+            q = PredictionSet(ids, p.y_true, p.mu, p.sigma, groups)
+            assert q.ids.tolist() == p.ids.tolist()  # not b"b'r000000'"
+            assert groups is None or q.groups.tolist() == p.groups.tolist()
+
+    @pytest.mark.parametrize("ids", [
+        [b"a", b"\xff"],  # a sequence of bytes items
+        np.array([b"a", b"\xc3"]),  # an S array, cut inside a 2-byte character
+        np.array([b"a", b"\xff" * (TEXT_WIDTH_LIMIT + 1)], dtype=object),
+    ], ids=["sequence", "bytes-array", "object-array"])
+    def test_bytes_that_are_not_utf8_are_refused(self, ids):
+        with pytest.raises(DomainError, match="^id b'.*' is not UTF-8 text$"):
+            _zeros_set(ids)
+
+    def test_a_read_only_view_of_a_writable_array_is_copied(self):
+        owner = np.array([b"a", b"b"])
+        view = owner[:]
+        view.flags.writeable = False
+        p = _zeros_set(view)
+        owner[1] = b"a"  # after the ids were taken, they stay unique
+        assert p.ids.tolist() == [b"a", b"b"] and validate_prediction_set(p) is p
+        frozen = p.ids[:]  # a view of a read-only array is shared
+        assert _zeros_set(frozen).ids is frozen

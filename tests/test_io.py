@@ -25,8 +25,8 @@ class TestDatasetCsv:
         np.testing.assert_array_equal(back.dataset.features, ds.features)
         np.testing.assert_array_equal(back.dataset.targets, ds.targets)
         np.testing.assert_array_equal(back.true_sigma, d.true_sigma)
-        assert back.dataset.ids == ds.ids
-        assert back.dataset.groups == ds.groups
+        np.testing.assert_array_equal(back.dataset.ids, ds.ids)
+        np.testing.assert_array_equal(back.dataset.groups, ds.groups)
 
     @pytest.mark.parametrize("groups, true_sigma, header", [
         (None, None, "id,x0,x1,y\n"),
@@ -38,7 +38,7 @@ class TestDatasetCsv:
         assert path.read_text() == header
         back = io.read_dataset_csv(path)
         assert (back.dataset.n, back.dataset.dim, back.dataset.features.shape) == (0, 2, (0, 2))
-        assert back.dataset.groups == groups
+        assert back.dataset.groups is None if groups is None else back.dataset.groups.size == 0
         if true_sigma is None:
             assert back.true_sigma is None
         else:
@@ -78,13 +78,13 @@ class TestPredictionsCsv:
         np.testing.assert_array_equal(back.y_true, p.y_true)
         np.testing.assert_array_equal(back.mu, p.mu)
         np.testing.assert_array_equal(back.sigma, p.sigma)
-        assert back.ids == p.ids
+        np.testing.assert_array_equal(back.ids, p.ids)
 
     def test_group_column_preserved(self, tmp_path):
         p = make_pset([1.0, 2.0], [1.0, 2.0], [0.1, 0.2], groups=("a", "b"))
         path = tmp_path / "pred.csv"
         io.write_predictions_csv(path, p)
-        assert io.read_predictions_csv(path).groups == ("a", "b")
+        assert io.read_predictions_csv(path).groups.tolist() == [b"a", b"b"]
 
     @pytest.mark.parametrize("groups, header", [
         (None, "id,y_true,y_pred,sigma\n"),
@@ -95,7 +95,8 @@ class TestPredictionsCsv:
         io.write_predictions_csv(path, make_pset([], [], [], groups=groups, ids=()))
         assert path.read_text() == header
         back = io.read_predictions_csv(path)
-        assert (back.n, back.groups, back.sigma.shape) == (0, groups, (0,))
+        assert (back.n, back.sigma.shape) == (0, (0,))
+        assert back.groups is None if groups is None else back.groups.size == 0
 
     def test_field_count_mismatch_names_line(self, tmp_path):
         path = tmp_path / "pred.csv"
@@ -118,6 +119,41 @@ class TestPredictionsCsv:
         assert back.n == n
         assert peak < 1.3 * (path.stat().st_size + retained)
 
+    def test_read_holds_ids_as_a_bytes_column(self, tmp_path):
+        """200k ids of 7 characters: as str objects they would hold about 11 MB."""
+        n, width = 200_000, 7
+        path = tmp_path / "pred.csv"
+        rng = np.random.default_rng(4)
+        io.write_predictions_csv(path, PredictionSet([f"p{i:06d}" for i in range(n)],
+                                                     rng.normal(size=n), rng.normal(size=n),
+                                                     rng.uniform(size=n)))
+        tracemalloc.start()
+        try:
+            back = io.read_predictions_csv(path)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert back.n == n and back.ids.dtype == np.dtype(f"S{width}")
+        assert live < 3 * 8 * n + 2 * n * width
+
+    @pytest.mark.parametrize("chunk_rows", [io.CHUNK_ROWS, 500])
+    def test_long_id_round_trips_byte_for_byte(self, tmp_path, monkeypatch, chunk_rows):
+        # one 100,000-character id holds the column as bytes objects; with
+        # 500-row chunks it meets narrow chunks read as S arrays
+        monkeypatch.setattr(io, "CHUNK_ROWS", chunk_rows)
+        n = 2000
+        ids = [f"r{i}" for i in range(n)]
+        ids[1234] = "x" * 100_000
+        p = make_pset(np.arange(n) / 7, np.arange(n) / 3, np.full(n, 0.5), ids=ids,
+                      groups=[f"g{i % 3}" for i in range(n)])
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        io.write_predictions_csv(first, p)
+        back = io.read_predictions_csv(first)
+        assert back.ids.dtype == object and back.groups.dtype.kind == "S"
+        assert back.ids.nbytes < n * 100_000 // 1000
+        io.write_predictions_csv(second, back)
+        assert second.read_bytes() == first.read_bytes()
+
 
 def test_numeric_looking_ids_and_group_tags_read_back_as_text(tmp_path):
     ids, groups = ("7", "8"), ("1", "2")
@@ -125,7 +161,8 @@ def test_numeric_looking_ids_and_group_tags_read_back_as_text(tmp_path):
     io.write_dataset_csv(data, ids, np.ones((2, 1)), np.zeros(2), groups, np.ones(2))
     io.write_predictions_csv(pred, make_pset([1.0, 2.0], [1.0, 2.0], [0.1, 0.2], groups, ids))
     ds, p = io.read_dataset_csv(data).dataset, io.read_predictions_csv(pred)
-    assert (ds.ids, ds.groups, p.ids, p.groups) == (ids, groups, ids, groups)
+    columns = (ds.ids, ds.groups, p.ids, p.groups)
+    assert [c.tolist() for c in columns] == [[b"7", b"8"], [b"1", b"2"]] * 2
 
 
 class TestCheckpoints:

@@ -52,7 +52,7 @@ class TestScreen:
         a = screen(p, default_criteria())
         b = screen(p, default_criteria())
         assert a == b
-        order = [p.ids.index(i) for i in a.selected_ids]
+        order = [p.ids.tolist().index(i.encode()) for i in a.selected_ids]
         assert order == sorted(order)
 
     def test_ids_follow_input_order_with_groups(self):

@@ -107,12 +107,13 @@ class TestEnsemble:
         for i, got in enumerate(seen):
             rest = [f for j, f in enumerate(folds) if j != i]
             want = LabeledDataset(
-                ids=tuple(rid for f in rest for rid in f.ids),
+                ids=np.concatenate([f.ids for f in rest]),
                 features=np.vstack([f.features for f in rest]),
                 targets=np.concatenate([f.targets for f in rest]),
-                groups=tuple(g for f in rest for g in f.groups),
+                groups=np.concatenate([f.groups for f in rest]),
             )
-            assert got.ids == want.ids and got.groups == want.groups
+            np.testing.assert_array_equal(got.ids, want.ids)
+            np.testing.assert_array_equal(got.groups, want.groups)
             np.testing.assert_array_equal(got.features, want.features)
             np.testing.assert_array_equal(got.targets, want.targets)
 

@@ -105,7 +105,7 @@ def train(m: MlpModel, data: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel
         for step, start in enumerate(range(0, data.n, cfg.batch_size)):
             idx = perm[start : start + cfg.batch_size]
             X, y = data.features[idx], data.targets[idx]
-            batch_ids = tuple(data.ids[i] for i in idx)
+            batch_ids = tuple(data.ids[i].decode() for i in idx)
             masks = None
             if use_dropout:
                 masks = _masks(m, cfg.seed.derive(_MASK_NS, epoch), step, len(idx))
