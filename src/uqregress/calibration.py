@@ -167,7 +167,8 @@ def adversarial_group_calibration(
     subgroups = check_count(subgroups, "subgroups", 1)
 
     all_used = bool(used.all())
-    bins = np.full(p.n, grid_size, dtype=np.intp)  # sigma == 0 counts nowhere
+    # sigma == 0 counts nowhere; the narrowest dtype makes each subgroup's gather cheap
+    bins = np.full(p.n, grid_size, dtype=np.min_scalar_type(grid_size))
     bins[used] = _grid_bins(z_used, expected)
 
     sizes = np.rint(fracs * p.n).astype(int)
@@ -186,14 +187,18 @@ def adversarial_group_calibration(
             rng = seed.derive(fi, t).generator()
             worst = -np.inf
             for g in range(subgroups):
-                idx = rng.choice(p.n, size=size, replace=False)
-                n_used = int(size) if all_used else int(np.count_nonzero(used[idx]))
+                if size == p.n:  # every row in some order: the whole set's counts
+                    sub_bins, n_used = bins, z_used.size
+                else:
+                    idx = rng.choice(p.n, size=size, replace=False)
+                    sub_bins = bins[idx]
+                    n_used = int(size) if all_used else int(np.count_nonzero(used[idx]))
                 if n_used < 2:
                     raise AllSigmaZeroError(
                         f"subgroup of size {size} has {n_used} usable points (sigma > 0)"
                     )
                 row = g % len(observed)
-                observed[row] = _observed_proportions(bins[idx], n_used, grid_size)
+                observed[row] = _observed_proportions(sub_bins, n_used, grid_size)
                 if row == len(observed) - 1 or g == subgroups - 1:
                     worst = max(worst, _area_between(expected, observed[: row + 1]).max())
             maxima[t] = worst

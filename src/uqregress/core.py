@@ -301,7 +301,7 @@ class _Rows:
             object.__setattr__(self, "groups", text_column(self.groups, "group tag"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class LabeledDataset(_Rows):
     """Feature matrix + scalar targets (+ optional categorical group tags).
 
@@ -347,7 +347,7 @@ class DatasetFile:
     true_sigma: np.ndarray | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class PredictionSet(_Rows):
     """Aligned (y_true, mu, sigma) triple that every UQ metric consumes.
 

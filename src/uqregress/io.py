@@ -34,7 +34,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .core import DatasetFile, LabeledDataset, PredictionSet, RngSeed, encode_text, text_column
+from .core import (TEXT_WIDTH_LIMIT, DatasetFile, LabeledDataset, PredictionSet, RngSeed,
+                   encode_text, text_column)
 from .errors import (FileParseError, LengthMismatchError, NonFiniteValueError, ReportSchemaError,
                      UqError, _check_keys)
 
@@ -193,13 +194,29 @@ def _offsets(raw: np.ndarray, byte: int) -> np.ndarray:
                            for b in range(0, raw.size, _SCAN_BYTES)])
 
 
+def _chunk_rows(data: bytes, start: int, m: int, row: np.dtype) -> np.ndarray | None:
+    """``m`` lines of ``data`` from offset ``start`` as one ``np.loadtxt`` record
+    per line, or None if a line does not parse as ``row``."""
+    stream = BytesIO(data)  # shares the bytes of data
+    stream.seek(start)
+    with TextIOWrapper(stream, encoding="ascii") as lines:
+        try:
+            rows = np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1, max_rows=m)
+        except ValueError:
+            return None
+    return rows if rows.size == m else None
+
+
 def _column_parse(path: Path, data: bytes, check) -> dict | None:
     """The columns of a plain file, or None if it needs the line scan.
 
     The body is parsed ``CHUNK_ROWS`` lines at a time into preallocated
-    columns, each chunk by one ``np.loadtxt`` over a row of str (text) and
-    float64 fields, which rejects any line whose field count differs from the
-    header's. Beyond ``data`` and the parsed columns only one chunk's
+    columns, each chunk by one ``np.loadtxt`` over a row of float64 fields
+    and, for text, fixed-width bytes fields one byte wider than
+    TEXT_WIDTH_LIMIT; it rejects any line whose field count differs from the
+    header's. A chunk with a text cell that fills its field may hold a longer
+    one, which the field cut, so that chunk is parsed again with str text
+    fields. Beyond ``data`` and the parsed columns only one chunk's
     temporaries are alive.
     """
     if not data or data[0] == 0x0A or b"\n\n" in data or any(
@@ -214,27 +231,30 @@ def _column_parse(path: Path, data: bytes, check) -> dict | None:
     header = data[:ends[0]].decode("ascii").split(",")
     check(path, header)
     n = ends.size - 1
-    row = np.dtype([(name, object if name in TEXT_COLUMNS else np.float64) for name in header])
-    columns = {name: [encode_text([], name)] if name in TEXT_COLUMNS else np.empty(n)
+    text = TEXT_COLUMNS.intersection(header)
+    fixed, loose = (np.dtype([(name, cell if name in text else np.float64) for name in header])
+                    for cell in (f"S{TEXT_WIDTH_LIMIT + 1}", object))
+    columns = {name: [encode_text([], name)] if name in text else np.empty(n)
                for name in header}  # a text column is a list of chunk arrays until the end
     for lo in range(0, n, CHUNK_ROWS):
         m = min(CHUNK_ROWS, n - lo)
-        stream = BytesIO(data)  # shares the bytes of data
-        stream.seek(int(ends[lo]) + 1)
-        with TextIOWrapper(stream, encoding="ascii") as lines:
-            try:
-                rows = np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1,
-                                  max_rows=m)
-            except ValueError:
-                return None
-        if rows.size != m:
+        start = int(ends[lo]) + 1
+        rows = _chunk_rows(data, start, m, fixed)
+        if rows is None:
             return None
+        widths = {name: int(np.strings.str_len(rows[name]).max()) for name in text}
+        if any(w > TEXT_WIDTH_LIMIT for w in widths.values()):
+            rows = _chunk_rows(data, start, m, loose)
+            if rows is None:
+                return None
         for name, column in columns.items():
-            if name in TEXT_COLUMNS:
-                column.append(encode_text(rows[name].tolist(), name))
-            else:
+            if name not in text:
                 column[lo:lo + m] = rows[name]
-    for name in TEXT_COLUMNS.intersection(columns):
+            elif rows.dtype == loose:
+                column.append(encode_text(rows[name].tolist(), name))
+            else:  # ASCII without NUL, as encode_text would store it
+                column.append(rows[name].astype(f"S{max(widths[name], 1)}"))
+    for name in text:
         columns[name] = np.concatenate(columns[name])  # as wide as its widest chunk
         columns[name].flags.writeable = False
     return columns

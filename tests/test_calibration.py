@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqregress.calibration import (
+    AdversarialCurve,
     _area_between,
     adversarial_group_calibration,
     calibration_curve,
@@ -152,6 +153,38 @@ class TestAdversarialGroupCalibration:
         p = gaussian_null(100, seed=10)
         with pytest.raises(DomainError, match=r"fractions must lie in \(0, 1\]"):
             adversarial_group_calibration(p, fractions, trials=2, subgroups=2)
+
+
+def drawn_adversarial(p, fractions, trials, subgroups, seed) -> AdversarialCurve:
+    """The sweep as a loop that draws every subgroup, whole-set ones included,
+    and takes each subgroup's area from ``calibration_curve`` of its rows."""
+    fracs = np.asarray(fractions, dtype=np.float64)
+    mean_worst, std_err = np.empty(fracs.size), np.empty(fracs.size)
+    for fi, size in enumerate(np.rint(fracs * p.n).astype(int)):
+        maxima = np.empty(trials)
+        for t in range(trials):
+            rng = seed.derive(fi, t).generator()
+            maxima[t] = max(
+                calibration_curve(p.subset(rng.choice(p.n, size=size, replace=False)))
+                .miscalibration_area for _ in range(subgroups))
+        mean_worst[fi] = maxima.mean()
+        std_err[fi] = np.std(maxima, ddof=1) / np.sqrt(trials)
+    return AdversarialCurve(fracs, mean_worst, std_err, trials, subgroups)
+
+
+@pytest.mark.parametrize("fractions", [[1.0], [1 - 1e-9], [0.3, 1 - 1e-9, 1.0]])
+def test_whole_set_subgroups_match_a_sweep_that_draws_them(fractions):
+    # 1 - 1e-9 rounds to every row too; the sigma == 0 rows count nowhere
+    p = gaussian_null(90, seed=12, sigma_scale=0.6)
+    sigma = p.sigma.copy()
+    sigma[::7] = 0.0
+    q = p.with_sigma(sigma)
+    got = adversarial_group_calibration(q, fractions, trials=4, subgroups=3, seed=RngSeed(5))
+    want = drawn_adversarial(q, fractions, trials=4, subgroups=3, seed=RngSeed(5))
+    for name in ("group_fractions", "mean_worst_area", "std_error"):
+        np.testing.assert_array_equal(getattr(got, name).view(np.uint64),
+                                      getattr(want, name).view(np.uint64), err_msg=name)
+    assert (got.trials, got.subgroups_per_trial) == (want.trials, want.subgroups_per_trial)
 
 
 def counted_proportions(y, mu, sigma, grid_size=99):

@@ -2,6 +2,7 @@
 and the one check behind every count argument."""
 
 import argparse
+import copy
 import dataclasses
 import re
 import warnings
@@ -217,6 +218,15 @@ class TestSubset:
         with pytest.raises(DuplicateIdError, match="duplicate id 'b' at row 1"):
             three_rows(LabeledDataset).subset([1, 1])
         assert three_rows(PredictionSet).subset([1, 1]).ids.tolist() == [b"b", b"b"]
+
+
+@RECORDS
+def test_records_compare_and_hash_by_identity(record):
+    a = three_rows(record)
+    twin = copy.copy(a)  # equal columns, another record
+    assert a == a and not a != a
+    assert a != twin and not a == twin
+    assert hash(a) == hash(a) and {a: 1}[a] == 1 and len({a, twin}) == 2
 
 
 class TestSplitKFolds:

@@ -259,6 +259,33 @@ def test_fault_in_a_later_chunk_matches_reference(tmp_path, monkeypatch, chunk_r
             validate_prediction_set(read(path))
 
 
+WIDE_ROW = 10  # in a later chunk than the first for every SMALL_CHUNKS size
+
+
+@pytest.mark.parametrize("chunk_rows", [*SMALL_CHUNKS, io.CHUNK_ROWS])
+@pytest.mark.parametrize("column", ["id", "group"])
+@pytest.mark.parametrize("width, kind", [(64, "S"), (65, "O"), (80, "O")])
+def test_wide_text_cells_take_the_column_parse(tmp_path, monkeypatch, chunk_rows, column, width,
+                                              kind):
+    # a text field holds TEXT_WIDTH_LIMIT + 1 bytes, so a cell of 65 or more
+    # fills it and its chunk is read again as str; narrow chunks stay bytes
+    monkeypatch.setattr(io, "CHUNK_ROWS", chunk_rows)
+    ids = [f"r {i}#" if i % 2 else f"#r {i}" for i in range(20)]
+    groups = [f" g#{i % 3} " for i in range(20)]
+    (ids if column == "id" else groups)[WIDE_ROW] = "w" * width
+    path = tmp_path / "wide.csv"
+    path.write_bytes(b"id,y_true,y_pred,sigma,group\n" + "".join(
+        f"{i},{k}.5,{k},0.25,{g}\n" for k, (i, g) in enumerate(zip(ids, groups))).encode())
+    assert io._column_parse(path, path.read_bytes(), io._check_prediction_header) is not None
+    got = _outcome(io.read_predictions_csv, path)
+    assert got == _outcome(ref.read_predictions_csv, path)
+    assert got[1] == tuple(ids) and got[2] == tuple(groups)
+    back = io.read_predictions_csv(path)
+    wide, narrow = (back.ids, back.groups) if column == "id" else (back.groups, back.ids)
+    assert wide.dtype.kind == kind and (kind == "O" or wide.dtype.itemsize == width)
+    assert narrow.dtype == np.dtype(f"S{max(map(len, narrow.tolist()))}")
+
+
 def test_plain_file_takes_the_column_parse(tmp_path):
     rng = np.random.default_rng(0)
     p = PredictionSet(tuple(f"r{i}" for i in range(300)), rng.normal(size=300),

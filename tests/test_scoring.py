@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import interval_score_reference as ref
 from uqregress.core import RngSeed
 from uqregress.numerics import std_normal_quantile
-from uqregress.scoring import COVERAGE_GRID, interval_score
+from uqregress.scoring import BLOCK_ROWS, COVERAGE_GRID, interval_score
 
 from conftest import gaussian_null, make_pset
 
@@ -147,3 +147,25 @@ class TestAgainstTwoHingeReference:
 
     def test_bit_identical_on_a_gaussian_sample(self):
         assert_same_as_reference(gaussian_null(100_000, seed=3, sigma_scale=0.7))
+
+
+BLOCK_SIZES = [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
+
+
+class TestRowBlocks:
+    """Points scored BLOCK_ROWS at a time against the whole-column reference."""
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.one_of(FREE, AT_TRUTH, ON_EDGE), min_size=2, max_size=8))
+    def test_bit_identical_with_edges_at_block_boundaries(self, n, points):
+        rng = RngSeed(n).generator()
+        mu = rng.normal(size=n)
+        sigma = rng.uniform(0.0, 1.0, n)
+        y = mu + sigma * rng.standard_normal(n)
+        # the drawn points sit on both sides of each block boundary and of the end
+        half = len(points) // 2
+        for edge in (*range(BLOCK_ROWS, n, BLOCK_ROWS), n):
+            rows = [(edge - half + i) % n for i in range(len(points))]
+            y[rows], mu[rows], sigma[rows] = zip(*points)
+        assert_same_as_reference(make_pset(y, mu, sigma))
