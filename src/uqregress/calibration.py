@@ -30,7 +30,7 @@ DEFAULT_GRID_SIZE = 99
 _AREA_ROWS = 64  # the most subgroup curves the adversarial sweep holds at once
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class CalibrationCurve:
     """Expected-vs-observed proportion pairs plus the miscalibration area."""
 
@@ -41,7 +41,7 @@ class CalibrationCurve:
     n_excluded_zero_sigma: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class AdversarialCurve:
     """Mean worst-subgroup miscalibration area per subgroup fraction."""
 

@@ -56,8 +56,9 @@ def _chain(x: np.ndarray | np.uint64, indices, hashed: bool = False):
     widest index run on the full shape.
 
     ``x`` may be the result of an earlier chain, which this one continues;
-    it is not modified. With ``hashed``, the indices are already
-    :func:`_link` values, so a caller can hash indices it reuses once."""
+    it is not modified. With ``hashed``, each index is xored in as given: a
+    :func:`_link` value, so a caller can hash indices it reuses once, or a
+    raw word, as :func:`_id_hashes` passes an id's bytes."""
     with np.errstate(over="ignore"):
         for arr in indices:
             h = arr if hashed else _link(arr)
@@ -148,28 +149,6 @@ def _has_nul(a: np.ndarray) -> bool:
     return bool((ends % a.itemsize).any())
 
 
-def encode_text(cells: list[str], what: str) -> np.ndarray:
-    """``cells`` as a new column of UTF-8 bytes: an ``S`` array, or an object
-    array of ``bytes`` when a cell is longer than TEXT_WIDTH_LIMIT bytes.
-
-    DomainError if a cell holds NUL: an ``S`` array drops trailing NULs, so
-    ``"a\\x00"`` would read back as ``"a"``.
-    """
-    joined = "".join(cells)
-    if "\x00" in joined:
-        bad = next(c for c in cells if "\x00" in c)
-        raise DomainError(f"{what} {bad!r} holds a NUL character")
-    try:
-        data = [c.encode() for c in cells]
-    except UnicodeEncodeError as exc:  # a lone surrogate
-        raise DomainError(f"{what} {exc.object!r} is not UTF-8 text") from exc
-    if max(map(len, data), default=0) <= TEXT_WIDTH_LIMIT:
-        return np.array(data, dtype="S")
-    a = np.empty(len(data), dtype=object)
-    a[:] = data
-    return a
-
-
 def _decode(cell: bytes, what: str) -> str:
     try:
         return cell.decode()
@@ -203,12 +182,16 @@ def _owns_frozen(a: np.ndarray) -> bool:
 
 
 def text_column(values, what: str) -> np.ndarray:
-    """``values`` as a read-only column of UTF-8 bytes (see :func:`encode_text`).
+    """``values`` as a read-only column of UTF-8 bytes.
 
     A 1-D ``S`` array, or a 1-D object array of ``bytes``, is taken as UTF-8
-    (DomainError if it is not, or holds NUL), and shared when
-    :func:`_owns_frozen` holds. Any other sequence is taken item by item: a
-    ``bytes`` item as UTF-8 text, anything else through ``str()``.
+    (DomainError if it is not, or holds NUL), kept at its width, and shared
+    when :func:`_owns_frozen` holds. Any other sequence is taken item by item,
+    a ``bytes`` item as UTF-8 text and anything else through ``str()``, into a
+    new ``S`` array, or an object array of ``bytes`` when a cell is longer than
+    TEXT_WIDTH_LIMIT bytes. DomainError if a cell holds NUL (an ``S`` array
+    drops trailing NULs, so ``"a\\x00"`` would read back as ``"a"``) or a lone
+    surrogate.
     """
     if isinstance(values, np.ndarray) and values.ndim == 1 and (
             values.dtype.kind == "S" or values.dtype == object
@@ -216,8 +199,19 @@ def text_column(values, what: str) -> np.ndarray:
         a = values if _owns_frozen(values) else values.copy()
         _check_bytes(a, what)
     else:
-        a = encode_text([_decode(v, what) if isinstance(v, bytes) else str(v) for v in values],
-                        what)
+        cells = [_decode(v, what) if isinstance(v, bytes) else str(v) for v in values]
+        if "\x00" in "".join(cells):
+            bad = next(c for c in cells if "\x00" in c)
+            raise DomainError(f"{what} {bad!r} holds a NUL character")
+        try:
+            data = [c.encode() for c in cells]
+        except UnicodeEncodeError as exc:  # a lone surrogate
+            raise DomainError(f"{what} {exc.object!r} is not UTF-8 text") from exc
+        if max(map(len, data), default=0) <= TEXT_WIDTH_LIMIT:
+            a = np.array(data, dtype="S")
+        else:
+            a = np.empty(len(data), dtype=object)
+            a[:] = data
     a.flags.writeable = False
     return a
 
@@ -233,18 +227,11 @@ def _check_finite(ids: np.ndarray, name: str, values: np.ndarray, unit: str) -> 
 
 def _id_hashes(ids: np.ndarray) -> np.ndarray:
     """One uint64 per cell of an ``S`` column: its bytes, NUL-padded to whole
-    8-byte words, chained through SplitMix64 as ``h <- mix((h ^ word) + G)``."""
+    8-byte words, run through :func:`_chain` from 0 with each word as given."""
     n, width = ids.size, ids.itemsize
     padded = np.zeros((n, -(-max(width, 1) // 8) * 8), dtype=np.uint8)
     padded[:, :width] = ids.view(np.uint8).reshape(n, width)
-    words = padded.view(np.uint64)
-    h = np.zeros(n, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for word in words.T:
-            h ^= word
-            h += _GOLDEN
-            _mix(h)
-    return h
+    return _chain(np.uint64(0), padded.view(np.uint64).T, hashed=True)
 
 
 def _check_unique(ids: np.ndarray, unit: str) -> None:
@@ -338,7 +325,7 @@ class LabeledDataset(_Rows):
         return int(self.features.shape[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class DatasetFile:
     """A dataset and, where known, each row's true noise std. A file with no
     rows holds a zero-row dataset, whose (0, d) features keep its dimension."""

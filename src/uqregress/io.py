@@ -34,8 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .core import (TEXT_WIDTH_LIMIT, DatasetFile, LabeledDataset, PredictionSet, RngSeed,
-                   encode_text, text_column)
+from .core import TEXT_WIDTH_LIMIT, DatasetFile, LabeledDataset, PredictionSet, RngSeed, text_column
 from .errors import (FileParseError, LengthMismatchError, NonFiniteValueError, ReportSchemaError,
                      UqError, _check_keys)
 
@@ -234,7 +233,7 @@ def _column_parse(path: Path, data: bytes, check) -> dict | None:
     text = TEXT_COLUMNS.intersection(header)
     fixed, loose = (np.dtype([(name, cell if name in text else np.float64) for name in header])
                     for cell in (f"S{TEXT_WIDTH_LIMIT + 1}", object))
-    columns = {name: [encode_text([], name)] if name in text else np.empty(n)
+    columns = {name: [text_column([], name)] if name in text else np.empty(n)
                for name in header}  # a text column is a list of chunk arrays until the end
     for lo in range(0, n, CHUNK_ROWS):
         m = min(CHUNK_ROWS, n - lo)
@@ -244,15 +243,13 @@ def _column_parse(path: Path, data: bytes, check) -> dict | None:
             return None
         widths = {name: int(np.strings.str_len(rows[name]).max()) for name in text}
         if any(w > TEXT_WIDTH_LIMIT for w in widths.values()):
-            rows = _chunk_rows(data, start, m, loose)
-            if rows is None:
-                return None
+            rows = _chunk_rows(data, start, m, loose)  # lines that just parsed: never None
         for name, column in columns.items():
             if name not in text:
                 column[lo:lo + m] = rows[name]
             elif rows.dtype == loose:
-                column.append(encode_text(rows[name].tolist(), name))
-            else:  # ASCII without NUL, as encode_text would store it
+                column.append(text_column(rows[name].tolist(), name))
+            else:  # ASCII without NUL, as text_column would store it
                 column.append(rows[name].astype(f"S{max(widths[name], 1)}"))
     for name in text:
         columns[name] = np.concatenate(columns[name])  # as wide as its widest chunk

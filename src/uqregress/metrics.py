@@ -64,7 +64,7 @@ class GroupMetrics:
     accuracy: AccuracyReport | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class DistributionSummary:
     """Box statistics plus a Scott's-rule KDE evaluated on a grid."""
 

@@ -22,7 +22,7 @@ COVERAGE_GRID = np.round(np.arange(1, 100) / 100.0, 2)
 BLOCK_ROWS = 8192
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class IntervalScoreReport:
     mean_score: float
     per_point_scores: np.ndarray

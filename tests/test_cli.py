@@ -789,6 +789,19 @@ class TestUnwritableInputs:
         _one_error_line(capsys, "No space left on device")
         assert list(tmp_path.iterdir()) == []
 
+    def test_unexpected_error_propagates_and_removes_the_outputs(self, workspace, tmp_path,
+                                                                 monkeypatch):
+        # an exception outside the error contract is a missing check: it keeps
+        # its traceback, and the run still leaves no output or directory
+        def missing_check(*args):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(io, "write_manifest", missing_check)
+        with pytest.raises(ZeroDivisionError):
+            run("evaluate", "--pred", workspace["preds"]["ensemble"], "--out",
+                tmp_path / "new" / "r.json", "--curve-out", tmp_path / "c.csv")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command, body", [("screen", b"id,y_true,y_pred,sigma\n\xff,1,1,1\n"),
                                                ("train", b"id,x0,y\nr0,1,\xff\n")])
     def test_csv_that_is_not_utf8(self, tmp_path, capsys, command, body):

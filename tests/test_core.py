@@ -16,6 +16,7 @@ from uqregress import cli, core
 from uqregress.calibration import adversarial_group_calibration, calibration_curve
 from uqregress.core import (
     TEXT_WIDTH_LIMIT,
+    DatasetFile,
     LabeledDataset,
     PredictionSet,
     RngSeed,
@@ -33,8 +34,10 @@ from uqregress.errors import (
     NonFiniteValueError,
 )
 from uqregress.datagen import calibrated_prediction_set, generate_synthetic
+from uqregress.metrics import distribution_summary
 from uqregress.neural import MlpConfig, MlpModel, TrainConfig, loss_and_gradient, train
 from uqregress.numerics import brent_minimize
+from uqregress.scoring import interval_score
 from uqregress.uq_methods import DropoutSpec, EnsembleSpec
 
 from conftest import make_pset
@@ -63,6 +66,11 @@ class TestValidatePredictionSet:
         p = PredictionSet(ids=("a", "b", "c"), y_true=[1.0, 2.0, 3.0],
                           mu=[1.0, 2.0], sigma=[0.1, 0.1, 0.1])
         with pytest.raises(LengthMismatchError, match="mu"):
+            validate_prediction_set(p)
+
+    def test_groups_length_mismatch(self):
+        p = make_pset([1.0, 2.0], [1.0, 2.0], [0.1, 0.1], groups=("g",))
+        with pytest.raises(LengthMismatchError, match="^groups has length 1, expected 2$"):
             validate_prediction_set(p)
 
     def test_non_finite_value_names_field_and_index(self):
@@ -137,6 +145,20 @@ class TestLabeledDataset:
     def test_rejects_duplicate_ids(self):
         with pytest.raises(DuplicateIdError):
             LabeledDataset(ids=("a", "a"), features=[[1.0], [2.0]], targets=[0.0, 1.0])
+
+    @pytest.mark.parametrize("columns, error, message", [
+        ({"features": [[1.0], [2.0]]}, LengthMismatchError,
+         "ids(3), features(2), targets(3) disagree"),
+        ({"targets": [0.0]}, LengthMismatchError, "ids(3), features(3), targets(1) disagree"),
+        ({"groups": ("g", "h")}, LengthMismatchError, "groups(2) != ids(3)"),
+        ({"features": np.empty((3, 0))}, DomainError, "feature dimension must be >= 1"),
+        ({"ids": ("a", "b\ud800", "c")}, DomainError, "id 'b\\ud800' is not UTF-8 text"),
+    ], ids=["features", "targets", "groups", "zero-width", "lone-surrogate"])
+    def test_refuses_columns_that_do_not_make_a_table(self, columns, error, message):
+        table = {"ids": ("a", "b", "c"), "features": [[1.0], [2.0], [3.0]], "targets": [0.0] * 3}
+        with pytest.raises(error) as info:
+            LabeledDataset(**{**table, **columns})
+        assert str(info.value) == message
 
     def test_zero_rows_keep_their_dim(self):
         ds = LabeledDataset(ids=(), features=np.empty((0, 3)), targets=[], groups=())
@@ -220,10 +242,23 @@ class TestSubset:
         assert three_rows(PredictionSet).subset([1, 1]).ids.tolist() == [b"b", b"b"]
 
 
-@RECORDS
-def test_records_compare_and_hash_by_identity(record):
-    a = three_rows(record)
-    twin = copy.copy(a)  # equal columns, another record
+# every frozen record with an ndarray field, and a small one of each
+IDENTITY_RECORDS = {
+    "dataset": lambda: three_rows(LabeledDataset),
+    "prediction_set": lambda: three_rows(PredictionSet),
+    "calibration_curve": lambda: calibration_curve(three_rows(PredictionSet)),
+    "adversarial_curve": lambda: adversarial_group_calibration(
+        three_rows(PredictionSet), [1.0], trials=2, subgroups=1),
+    "interval_score": lambda: interval_score(three_rows(PredictionSet)),
+    "distribution_summary": lambda: distribution_summary([1.0, 2.0, 4.0], [0.0, 2.0]),
+    "dataset_file": lambda: DatasetFile(three_rows(LabeledDataset), np.ones(3)),
+}
+
+
+@pytest.mark.parametrize("make", IDENTITY_RECORDS.values(), ids=IDENTITY_RECORDS.keys())
+def test_records_compare_and_hash_by_identity(make):
+    a = make()
+    twin = copy.copy(a)  # equal fields, another record
     assert a == a and not a != a
     assert a != twin and not a == twin
     assert hash(a) == hash(a) and {a: 1}[a] == 1 and len({a, twin}) == 2

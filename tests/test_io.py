@@ -56,6 +56,12 @@ class TestDatasetCsv:
                 io.write_columns_csv(path, header, [np.ones(2), np.ones(2)])
         assert not path.exists()
 
+    def test_columns_of_unequal_length_are_refused(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(LengthMismatchError, match=r"^column lengths \[2, 3\] differ$"):
+            io.write_columns_csv(path, ["a", "b"], [np.ones(2), ("x", "y", "z")])
+        assert not path.exists()
+
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,x0,y\nr0,1.0,2.0\nr1,oops,3.0\n")

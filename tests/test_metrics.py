@@ -194,6 +194,19 @@ class TestDistributionSummary:
         assert abs(mode - np.median(values)) < 0.25
 
 
+@pytest.mark.parametrize("metric, n, message", [
+    (sharpness, 0, "sharpness needs n >= 1"),
+    (dispersion, 1, "dispersion needs n >= 2, got 1"),
+    (interval_score, 0, "interval_score needs n >= 1"),
+    (lambda p: honesty_rate(p, 3.0), 0, "honesty_rate needs n >= 1"),
+], ids=["sharpness", "dispersion", "interval_score", "honesty_rate"])
+def test_too_few_rows_are_refused(metric, n, message):
+    p = make_pset([1.0] * n, [0.5] * n, [0.1] * n)
+    with pytest.raises(DomainError) as info:
+        metric(p)
+    assert str(info.value) == message
+
+
 EXTREME = st.one_of(
     st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308, 1e200, -1e160, 1.5e154,
                      5e-324, -5e-324, 0.0, 1.0]),

@@ -154,6 +154,10 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             MlpConfig((3, 4, 1), dropout_rate=0.6)
 
+    def test_unknown_activation(self):
+        with pytest.raises(DomainError, match="^unknown activation 'gelu'$"):
+            MlpConfig((3, 4, 1), activation="gelu")
+
     def test_reg_weight_above_02_warns(self):
         with pytest.warns(UserWarning, match="0.2") as record:
             TrainConfig(epochs=1, batch_size=8, learning_rate=0.1, reg_weight=0.25)
@@ -346,6 +350,12 @@ class TestTrain:
         h = np.asarray(h)
         upticks = np.diff(h) > 0.01 * h[:-1]
         assert not upticks.any()
+
+    def test_data_of_another_width_rejected(self):
+        m = MlpModel.initialize(MlpConfig((2, 4, 1), seed=RngSeed(31)))
+        with pytest.raises(ShapeMismatchError, match="^data dim 3, model expects 2$"):
+            train(m, random_batch((3, 4, 1), 8, 32),
+                  TrainConfig(epochs=1, batch_size=4, learning_rate=0.1))
 
     def test_divergence_guard(self):
         data = random_batch((1, 4, 1), 32, 29)

@@ -8,7 +8,7 @@ import pytest
 
 import ndtr_reference
 from uqregress import numerics
-from uqregress.errors import DegenerateSampleError, DomainError
+from uqregress.errors import DegenerateSampleError, DomainError, NonFiniteValueError
 from uqregress.numerics import (
     _SQRT_2PI,
     brent_minimize,
@@ -243,6 +243,11 @@ class TestKdeScott:
     def test_too_few_samples(self):
         with pytest.raises(DegenerateSampleError):
             kde_scott([1.0], [0.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_sample_rejected(self, bad):
+        with pytest.raises(NonFiniteValueError, match="^samples must be finite$"):
+            kde_scott([1.0, bad, 2.0], [0.0])
 
     def test_overflowing_spread_is_degenerate(self):
         # each sample is finite, but their sum and so the std overflow

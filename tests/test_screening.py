@@ -79,6 +79,11 @@ class TestScreen:
         with pytest.raises(DomainError):
             ScreenCriteria(value_lo=0.1, value_hi=-0.1, sigma_max=0.05)
 
+    @pytest.mark.parametrize("sigma_max", [0.0, float("nan")])
+    def test_non_positive_sigma_max_rejected(self, sigma_max):
+        with pytest.raises(DomainError, match=f"^sigma_max must be > 0, got {sigma_max}$"):
+            ScreenCriteria(value_lo=-0.1, value_hi=0.1, sigma_max=sigma_max)
+
 
 class TestHonestyRate:
     def test_calibrated_three_sigma_mass(self):

@@ -1,5 +1,7 @@
 """Ensemble, MC dropout, and evidential producers against scalar oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,10 @@ class TestEnsemble:
     def test_k_below_two_rejected(self):
         with pytest.raises(DomainError):
             tiny_spec(k=1)
+
+    def test_unknown_member_training_rejected(self):
+        with pytest.raises(DomainError, match="^member_training must be one of "):
+            tiny_spec(member_training="all_folds")
 
 
 class TestMcDropout:
@@ -271,6 +277,11 @@ class TestEvidentialOps:
         a2, e2 = map(float, ev.uncertainty_channels(1e9, 2.0, 1.0))
         assert a2 == pytest.approx(1.0)
         assert e2 < 1e-8
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 1), (2, 5), (2, 4, 1)])
+    def test_head_transform_needs_n_by_4(self, shape):
+        with pytest.raises(DomainError, match=re.escape(f"shape (n, 4), got {shape}")):
+            ev.head_transform(np.zeros(shape))
 
     def test_sqrt_option(self):
         a, e = map(float, ev.uncertainty_channels(4.0, 2.0, 1.0, apply_sqrt=True))
