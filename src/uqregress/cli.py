@@ -15,6 +15,7 @@ import contextlib
 import dataclasses
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -247,6 +248,11 @@ def cmd_screen(args, written: list[str]) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -1e-3 and -5. are negative numbers, not flags (argparse before 3.13 reads flags)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # a bad command line is an error like any other: one line, exit 1
     def error(self, message):
         raise DomainError(message)

@@ -172,31 +172,22 @@ def _check_bytes(a: np.ndarray, what: str) -> None:
         _decode(c, what)
 
 
-def _owns_frozen(a: np.ndarray) -> bool:
-    """Whether ``a`` is read-only and contiguous, and owns its data or views
-    a read-only array, so that a text column may share it: a read-only view
-    of a writable array is copied, since the caller may still write to it."""
-    base = a.base
-    return (not a.flags.writeable and a.flags.c_contiguous
-            and (base is None or isinstance(base, np.ndarray) and not base.flags.writeable))
-
-
 def text_column(values, what: str) -> np.ndarray:
     """``values`` as a read-only column of UTF-8 bytes.
 
     A 1-D ``S`` array, or a 1-D object array of ``bytes``, is taken as UTF-8
     (DomainError if it is not, or holds NUL), kept at its width, and shared
-    when :func:`_owns_frozen` holds. Any other sequence is taken item by item,
-    a ``bytes`` item as UTF-8 text and anything else through ``str()``, into a
-    new ``S`` array, or an object array of ``bytes`` when a cell is longer than
-    TEXT_WIDTH_LIMIT bytes. DomainError if a cell holds NUL (an ``S`` array
-    drops trailing NULs, so ``"a\\x00"`` would read back as ``"a"``) or a lone
-    surrogate.
+    when it is read-only and owns its data; a view is copied. Any other
+    sequence is taken item by item, a ``bytes`` item as UTF-8 text and
+    anything else through ``str()``, into a new ``S`` array, or an object
+    array of ``bytes`` when a cell is longer than TEXT_WIDTH_LIMIT bytes.
+    DomainError if a cell holds NUL (an ``S`` array drops trailing NULs, so
+    ``"a\\x00"`` would read back as ``"a"``) or a lone surrogate.
     """
     if isinstance(values, np.ndarray) and values.ndim == 1 and (
             values.dtype.kind == "S" or values.dtype == object
             and all(type(v) is bytes for v in values.tolist())):
-        a = values if _owns_frozen(values) else values.copy()
+        a = values if values.base is None and not values.flags.writeable else values.copy()
         _check_bytes(a, what)
     else:
         cells = [_decode(v, what) if isinstance(v, bytes) else str(v) for v in values]

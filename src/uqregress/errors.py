@@ -92,9 +92,11 @@ class ReportSchemaError(UqError):
     """A JSON report contains unknown fields or a wrong version tag."""
 
 
-def _check_keys(d: dict, allowed: tuple[str, ...], where: str) -> None:
-    """``d`` must hold exactly the keys ``allowed``: the closed JSON schemas of
-    reports and checkpoints."""
+def _check_keys(d, allowed: tuple[str, ...], where: str) -> None:
+    """``d`` must be a JSON object holding exactly the keys ``allowed``: the
+    closed JSON schemas of reports and checkpoints."""
+    if not isinstance(d, dict):
+        raise ReportSchemaError(f"{where} must be a JSON object, got {type(d).__name__}")
     unknown = set(d) - set(allowed)
     if unknown:
         raise ReportSchemaError(f"unknown field(s) {sorted(unknown)} in {where}")

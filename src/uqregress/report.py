@@ -98,8 +98,6 @@ def _from_json(kind, value, where: str):
     except where the field may be None. A value of the wrong JSON type raises
     ReportSchemaError naming the dotted field ``where``."""
     if is_dataclass(kind):
-        if not isinstance(value, dict):
-            raise ReportSchemaError(f"{where} must be a JSON object, got {type(value).__name__}")
         hints = get_type_hints(kind)
         _check_keys(value, tuple(f.name for f in fields(kind)), where)
         return kind(**{f.name: _from_json(hints[f.name], value[f.name], f"{where}.{f.name}")
@@ -131,8 +129,6 @@ def report_to_dict(r: MetricsReport) -> dict:
 
 def report_from_dict(d: dict) -> MetricsReport:
     """Parse and validate a report dict; rejects unknown fields and versions."""
-    if not isinstance(d, dict):
-        raise ReportSchemaError(f"report must be a JSON object, got {type(d).__name__}")
     _check_keys(d, ("format", *(f.name for f in fields(MetricsReport))), "report")
     if d["format"] != REPORT_FORMAT:
         raise ReportSchemaError(f"unsupported report format {d['format']!r}")

@@ -88,7 +88,7 @@ def ensemble_predict(members: list[MlpModel], test: LabeledDataset) -> Predictio
     mu = member mean, sigma = Bessel-corrected member std, per test point."""
     if len(members) < 2:
         raise DomainError("need >= 2 members for a std")
-    if any(m.config.layer_widths[-1] != 1 for m in members):
+    if any(m.config.head != "plain" for m in members):
         raise WrongHeadWidthError("an ensemble averages 1-unit regression heads")
     outputs = np.empty((len(members), test.n))
     for i, model in enumerate(members):
@@ -122,7 +122,7 @@ def mc_dropout_predict(m: MlpModel, test: LabeledDataset, spec: DropoutSpec) -> 
     rate == 0 short-circuits to the deterministic forward with sigma == 0
     (the no-mask limit, exact by construction).
     """
-    if m.config.layer_widths[-1] != 1:
+    if m.config.head != "plain":
         raise WrongHeadWidthError("MC dropout aggregates a 1-unit regression head")
     if spec.rate == 0.0:
         mu = predict(m, test.features)[:, 0]
@@ -152,7 +152,7 @@ def evidential_predict(
     apply_sqrt: bool = False,
 ) -> PredictionSet:
     """One deterministic pass; mu = gamma, sigma = the chosen channel."""
-    if m.config.layer_widths[-1] != 4:
+    if m.config.head != "evidential":
         raise WrongHeadWidthError(
             f"evidential prediction needs a 4-unit head, model has {m.config.layer_widths[-1]}"
         )

@@ -354,12 +354,13 @@ class TestRecalibrate:
         _one_error_line(capsys, message)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pred.csv"]
 
-    @pytest.mark.parametrize("fraction", [1.5, -0.5, 0.0])
+    # a negative value in exponent or trailing-dot form is a number, not a flag
+    @pytest.mark.parametrize("fraction", [1.5, -0.5, 0.0, "-1e-3", "-1E2", "-5."])
     def test_fit_fraction_outside_unit_interval_fails_before_the_csv_is_read(
             self, tmp_path, capsys, fraction):
         assert run("recalibrate", "--pred", tmp_path / "missing.csv", "--out", tmp_path / "r.json",
                    "--fit-fraction", fraction) == 1
-        _one_error_line(capsys, f"--fit-fraction must lie in (0, 1], got {fraction}")
+        _one_error_line(capsys, f"--fit-fraction must lie in (0, 1], got {float(fraction)}")
         assert list(tmp_path.iterdir()) == []
 
     def test_fit_fraction_leaving_one_fit_row_is_named(self, workspace, tmp_path, capsys):
@@ -399,6 +400,18 @@ class TestConfigAndManifests:
         manifest = io.manifest_path(out)
         assert run("evaluate", "--config", manifest) == 0
         assert out.read_bytes() == first
+
+    @pytest.mark.parametrize("command, n_outputs", [("evaluate", 3), ("screen", 1)])
+    def test_seed_is_recorded_but_draws_nothing(self, workspace, tmp_path, command, n_outputs):
+        outputs = {}
+        for seed in (7, 9):
+            out = tmp_path / str(seed) / "out.json"
+            assert run(command, "--pred", workspace["preds"]["dropout"], "--out", out,
+                       "--seed", seed) == 0
+            assert json.loads(io.manifest_path(out).read_text())["config"]["seed"] == seed
+            outputs[seed] = {p.name: p.read_bytes() for p in out.parent.iterdir()
+                             if not p.name.endswith(".manifest.json")}
+        assert len(outputs[7]) == n_outputs and outputs[7] == outputs[9]
 
     def test_manifest_for_wrong_command_rejected(self, workspace, tmp_path, capsys):
         out = tmp_path / "report.json"

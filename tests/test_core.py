@@ -535,5 +535,6 @@ class TestTextColumns:
         p = _zeros_set(view)
         owner[1] = b"a"  # after the ids were taken, they stay unique
         assert p.ids.tolist() == [b"a", b"b"] and validate_prediction_set(p) is p
-        frozen = p.ids[:]  # a view of a read-only array is shared
-        assert _zeros_set(frozen).ids is frozen
+        frozen = p.ids[:]  # a view is copied even when what it views is read-only
+        ids = _zeros_set(frozen).ids
+        assert ids is not frozen and ids.tobytes() == frozen.tobytes()
